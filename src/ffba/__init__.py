@@ -13,7 +13,8 @@ from __future__ import annotations
 from .cantor import (ConstructionSchedule, CylinderSet, TreeReport,
                      as_schedule, dimension_lower_bound, measure_after_stages,
                      validate_tree_like)
-from .errors import (BudgetExhaustedError, DegenerateScheduleError, FfbaError,
+from .errors import (BudgetExhaustedError, CertificateFormatError,
+                     DegenerateScheduleError, FfbaError,
                      InsufficientPrecisionError, InvalidScheduleError,
                      MissingModulusError, NonPrimeError, ReducibleModulusError,
                      TooLargeToEnumerateError)
@@ -46,7 +47,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BelowLimit", "BudgetExhaustedError", "CertStage", "Certificate",
-    "CertificateReport", "CoefficientSource", "ComparisonReport",
+    "CertificateFormatError", "CertificateReport", "CoefficientSource", "ComparisonReport",
     "ConstructionSchedule", "CylinderSet", "DegenerateScheduleError",
     "DepthBoundedConstant", "ExtensionCount", "FfbaError", "Field",
     "FiniteSource", "GeneralizedWeight", "HankelView", "IndicesTrace",

@@ -28,7 +28,7 @@ from .linalg import rank_dense
 from .polynomial import Poly
 from .qval import qexp
 from .series import (FiniteSource, LaurentSeries, PeriodicSource,
-                     expand_rational, parse_series, series_to_text)
+                     _parse_codes, expand_rational, parse_series, series_to_text)
 from .targets import Certificate, gamma_prefix, verify_certificate
 from .verify import (c_depth_weighted, find_witness_small, liminf_structure,
                      m0_structure, make_liminf_theta)
@@ -52,17 +52,8 @@ class _Parser(argparse.ArgumentParser):
 # Argument helpers
 # ---------------------------------------------------------------------------
 
-def _codes(text: str) -> list[int]:
-    body = text.strip()
-    if body.startswith("[") and body.endswith("]"):
-        body = body[1:-1]
-    if not body:
-        return []
-    return [int(tok) for tok in body.split(",")]
-
-
 def _field_of(args) -> Field:
-    modulus = _codes(args.modulus) if getattr(args, "modulus", None) else None
+    modulus = _parse_codes(args.modulus) if getattr(args, "modulus", None) else None
     return Field.of_order(args.q, modulus)
 
 
@@ -133,8 +124,8 @@ def _add_common(p: _Parser, theta: bool = False, weight: bool = False) -> None:
 
 def _cmd_expand(args) -> int:
     field = _field_of(args)
-    num = Poly(field, _codes(args.num))
-    den = Poly(field, _codes(args.den))
+    num = Poly(field, _parse_codes(args.num))
+    den = Poly(field, _parse_codes(args.den))
     if den.is_zero:
         raise ValueError("denominator must be nonzero")
     series = expand_rational(num, den)
@@ -274,7 +265,7 @@ def _cmd_liminf_theta(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    schedule = ConstructionSchedule.constant(_codes(args.ell), args.ellp)
+    schedule = ConstructionSchedule.constant(_parse_codes(args.ell), args.ellp)
     measure = measure_after_stages(schedule, args.stages, args.q)
     _emit({
         "q": args.q,
@@ -289,7 +280,7 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_dimension(args) -> int:
-    schedule = ConstructionSchedule.constant(_codes(args.ell), args.ellp)
+    schedule = ConstructionSchedule.constant(_parse_codes(args.ell), args.ellp)
     bound = dimension_lower_bound(schedule, q=args.q)
     out = {
         "q": args.q,

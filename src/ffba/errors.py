@@ -48,6 +48,11 @@ class DegenerateScheduleError(FfbaError, ValueError):
     lengths sum to zero in some coordinate."""
 
 
+class CertificateFormatError(FfbaError, ValueError):
+    """A certificate document lacks a field, or holds a value of the wrong
+    type or outside its range (such as a digit code not in range(q))."""
+
+
 class TooLargeToEnumerateError(FfbaError):
     """An exhaustive enumeration was requested beyond the supported size."""
 

@@ -195,6 +195,15 @@ class Field:
     def div(self, a: int, b: int) -> int:
         return self._mul[a][self.inv(b)]
 
+    def dot(self, a: Sequence[int], b: Sequence[int]) -> int:
+        """sum_i a_i * b_i over the field."""
+        add, mul = self._add, self._mul
+        acc = 0
+        for x, y in zip(a, b):
+            if x and y:
+                acc = add[acc][mul[x][y]]
+        return acc
+
     def pow(self, a: int, n: int) -> int:
         if n < 0:
             a, n = self.inv(a), -n

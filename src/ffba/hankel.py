@@ -79,9 +79,9 @@ class HankelView:
         self.require_precision()
         out = []
         for s, h in enumerate(self.block_heights()):
-            coeff = self.theta[s].frac.coefficient
-            for r in range(1, h + 1):
-                out.append([coeff(r - 1 + c) for c in range(1, self.cols + 1)])
+            # each row of a Hankel block is a window onto the same tail
+            tail = self.theta[s].frac_coeffs(h - 1 + self.cols) if self.cols else []
+            out.extend(tail[r:r + self.cols] for r in range(h))
         return out
 
     def column(self, c: int) -> list[int]:
@@ -148,10 +148,7 @@ def square_invertibility_spectrum(theta, max_m: int,
     """
     vec = as_vector(theta)
     w = default_weight(vec, weight)
-    heights = w.eval(max_m)
-    for s in range(len(vec)):
-        if heights[s] > 0:
-            vec[s].frac.require(heights[s] - 1 + max_m)
+    HankelView.of(vec, w, max_m, max_m).require_precision()
     out = []
     for m in range(1, max_m + 1):
         view = HankelView.of(vec, w, m, m)

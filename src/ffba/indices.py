@@ -22,11 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from math import lcm
 
-from .hankel import default_weight
+from .hankel import HankelView, default_weight
 from .linalg import RankEngine
-from .series import LaurentSeries, as_vector
+from .series import LaurentSeries, as_vector, period_bound
 from .weights import GeneralizedWeight
 
 __all__ = ["StageStatus", "Stage", "IndicesTrace", "indices_sequence",
@@ -86,16 +85,6 @@ class IndicesTrace:
                 "stages": [s.to_json() for s in self.stages]}
 
 
-def _column(theta, weight, i: int, c: int) -> list[int]:
-    out = []
-    heights = weight.eval(i)
-    for s, h in enumerate(heights):
-        coeff = theta[s].frac.coefficient
-        for r in range(1, h + 1):
-            out.append(coeff(r - 1 + c))
-    return out
-
-
 def _max_scan_col(theta, weight, i: int) -> int | None:
     """Largest column index c such that every entry of the i-row matrix at
     column c is within its coordinate's guarantee (None = unlimited)."""
@@ -107,22 +96,6 @@ def _max_scan_col(theta, weight, i: int) -> int | None:
             c_max = g - (h - 1)
             cap = c_max if cap is None else min(cap, c_max)
     return cap
-
-
-def _certify_width(theta, i: int) -> int | None:
-    """Column width past which a rank plateau is permanent, or None when
-    some source has no certified eventual period.  Columns repeat with
-    period lcm(p_s) once past max(a_s); the extra i is safety margin."""
-    pre = 0
-    per = 1
-    for s in theta:
-        info = s.frac.period_info()
-        if info is None:
-            return None
-        a, p = info
-        pre = max(pre, a)
-        per = lcm(per, p)
-    return pre + per + i
 
 
 def indices_sequence(theta, weight: GeneralizedWeight | None = None,
@@ -151,17 +124,17 @@ def indices_sequence(theta, weight: GeneralizedWeight | None = None,
         # --- column scan: least j with full row rank at extent cur_i ----
         engine = RankEngine(field)
         cap = _max_scan_col(vec, w, cur_i)
-        cert_width = _certify_width(vec, cur_i)
+        # columns repeat past the period bound; the extra i is safety margin
+        bound = period_bound(vec)
+        cert_width = None if bound is None else bound + cur_i
         hard_cap = j_cutoff if cap is None else min(cap, j_cutoff)
-        if cert_width is not None:
-            scan_stop = min(cert_width, hard_cap)
-        else:
-            scan_stop = hard_cap
+        scan_stop = hard_cap if cert_width is None else min(cert_width, hard_cap)
+        view = HankelView(vec, w, cur_i, scan_stop)
         j_found = None
         c = 0
         while c < scan_stop:
             c += 1
-            engine.add(_column(vec, w, cur_i, c))
+            engine.add(view.column(c))
             if engine.rank == cur_i:
                 j_found = c
                 break

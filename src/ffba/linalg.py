@@ -2,13 +2,17 @@
 
 Two layers:
 
-* RankEngine -- incremental rank under vector appends (columns or rows,
-  the engine does not care).  Over F_2 the basis lives in machine-word
-  bitsets and reduction is XOR; over general F_q it is table-driven
-  elimination.  Appends never rescan earlier vectors.
-* dense helpers -- RREF, solving, null spaces, and the lexicographically
-  smallest nonzero null vector, used where an actual vector is needed
-  rather than just a rank.
+* an incremental echelon basis (RankEngine, and the tagged kernel behind
+  it).  Vectors are packed one byte per entry into Python ints; a row step
+  is one XOR over F_2 and one bytes.translate through a precomputed table
+  otherwise.  Entries past a data width form a tag that row steps carry
+  but pivots ignore, so a single pass yields the row combinations behind
+  each reduced vector.  On it sit the lexicographically least left
+  annihilator (left_null_lexmin, tagged with the identity) and the least
+  solvable column count of every row prefix (least_solvable_columns,
+  tagged with the right-hand side).  Appends never rescan earlier vectors.
+* dense helpers -- RREF, solving, rank and null spaces, used where a
+  particular solution or a whole null space basis is needed.
 
 Vectors are sequences of field element codes; "first nonzero position"
 always means the lowest index, and lexicographic order compares positions
@@ -17,99 +21,99 @@ left to right using the int code order (0 is smallest).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 from .field import Field
 
 __all__ = ["RankEngine", "rref", "rank_dense", "solve", "nullspace",
-           "left_null_lexmin"]
+           "left_null_lexmin", "least_solvable_columns"]
 
 
-class _Gf2Engine:
-    """XOR basis over F_2; vectors packed as int bitsets (bit i = entry i)."""
+class _Basis:
+    """Echelon basis over F_q of vectors packed one byte per entry (byte i =
+    entry i of a Python int), one stored vector per pivot, its lowest
+    nonzero data position, normalized to 1 there.  Entries from position
+    `width` on form a tag: row steps carry it along, but pivots are sought
+    below it only.
 
-    __slots__ = ("rank", "_pivots")
+    A row step v - c*row is one XOR over F_2.  Otherwise each entry pair is
+    packed as x*q + y into one byte and mapped by a single bytes.translate,
+    which needs q*q <= 256; larger fields step entry by entry."""
 
-    def __init__(self):
+    __slots__ = ("rank", "_pivots", "_mask", "_field", "_steps", "_scale")
+
+    def __init__(self, field: Field, width: int | None = None):
         self.rank = 0
         self._pivots: dict[int, int] = {}
+        self._mask = -1 if width is None else (1 << (8 * width)) - 1
+        self._field = field
+        self._steps, self._scale = _byte_tables(field)
 
-    @staticmethod
-    def _pack(codes: Sequence[int]) -> int:
-        v = 0
-        for i, c in enumerate(codes):
-            if c:
-                v |= 1 << i
-        return v
+    def pack(self, codes: Sequence[int]) -> int:
+        raw = bytes(codes)
+        if raw and max(raw) >= self._field.q:
+            raise ValueError(f"entry code {max(raw)} outside range({self._field.q})")
+        return int.from_bytes(raw, "little")
 
-    def _reduce(self, v: int) -> int:
+    def reduce(self, v: int) -> tuple[int, int]:
+        """(p, v - sum of basis multiples): p is the lowest nonzero data
+        position left, which has no basis vector, or -1 when none is left."""
         pivots = self._pivots
-        while v:
-            p = (v & -v).bit_length() - 1
+        mask = self._mask
+        steps = self._steps
+        q = self._field.q
+        d = v & mask
+        while d:
+            p = ((d & -d).bit_length() - 1) >> 3
             row = pivots.get(p)
             if row is None:
-                return v
-            v ^= row
-        return 0
-
-    def add(self, codes: Sequence[int]) -> bool:
-        v = self._reduce(self._pack(codes))
-        if not v:
-            return False
-        self._pivots[(v & -v).bit_length() - 1] = v
-        self.rank += 1
-        return True
-
-    def contains(self, codes: Sequence[int]) -> bool:
-        return self._reduce(self._pack(codes)) == 0
-
-
-class _GfqEngine:
-    """Table-driven elimination basis; each stored vector has a distinct
-    first-nonzero position normalized to 1."""
-
-    __slots__ = ("rank", "_field", "_pivots")
-
-    def __init__(self, field: Field):
-        self.rank = 0
-        self._field = field
-        self._pivots: dict[int, list[int]] = {}
-
-    def _reduce(self, v: list[int]) -> tuple[int, list[int]]:
-        f = self._field
-        add, neg, mul = f._add, f._neg, f._mul
-        pivots = self._pivots
-        i = 0
-        n = len(v)
-        while i < n:
-            c = v[i]
-            if c == 0:
-                i += 1
-                continue
-            row = pivots.get(i)
-            if row is None:
-                return i, v
-            mc = mul[c]
-            nrow = neg
-            for k in range(i, n):
-                rk = row[k]
-                if rk:
-                    v[k] = add[v[k]][nrow[mc[rk]]]
-            i += 1
+                return p, v
+            if q == 2:
+                v ^= row
+            elif steps is None:
+                v = self._slow_step(v, row, (v >> (p << 3)) & 255)
+            else:
+                w = v * q + row
+                v = int.from_bytes(w.to_bytes((w.bit_length() + 7) >> 3, "little")
+                                   .translate(steps[(v >> (p << 3)) & 255]), "little")
+            d = v & mask
         return -1, v
 
-    def add(self, codes: Sequence[int]) -> bool:
-        p, v = self._reduce(list(codes))
-        if p < 0:
-            return False
-        inv = self._field._inv[v[p]]
-        mi = self._field._mul[inv]
-        self._pivots[p] = [mi[x] for x in v]
-        self.rank += 1
-        return True
+    def insert(self, v: int) -> tuple[int, int]:
+        """Reduce v and store it when its data part survives.  Returns the
+        pivot (-1 when the data part reduced to zero) and the reduced v."""
+        p, v = self.reduce(v)
+        if p >= 0:
+            c = (v >> (p << 3)) & 255
+            if c != 1:
+                v = int.from_bytes(v.to_bytes((v.bit_length() + 7) >> 3, "little")
+                                   .translate(self._scale[self._field._inv[c]]), "little")
+            self._pivots[p] = v
+            self.rank += 1
+        return p, v
 
-    def contains(self, codes: Sequence[int]) -> bool:
-        return self._reduce(list(codes))[0] < 0
+    def _slow_step(self, v: int, row: int, c: int) -> int:
+        f = self._field
+        n = (max(v.bit_length(), row.bit_length()) + 7) >> 3
+        mc = f._mul[c]
+        return int.from_bytes(bytes(
+            f._add[x][f._neg[mc[y]]]
+            for x, y in zip(v.to_bytes(n, "little"), row.to_bytes(n, "little"))),
+            "little")
+
+
+@lru_cache(maxsize=16)
+def _byte_tables(field: Field) -> tuple[list[bytes] | None, list[bytes]]:
+    """Per multiplier c, the byte maps x*q + y -> x - c*y (None when q*q
+    exceeds a byte) and x -> c*x."""
+    q = field.q
+    add, neg, mul = field._add, field._neg, field._mul
+    steps = None
+    if q * q <= 256:
+        steps = [bytes([add[x][neg[mul[c][y]]] for x in range(q) for y in range(q)]
+                       + [0] * (256 - q * q)) for c in range(q)]
+    return steps, [bytes(mul[c] + [0] * (256 - q)) for c in range(q)]
 
 
 class RankEngine:
@@ -117,7 +121,7 @@ class RankEngine:
 
     def __init__(self, field: Field):
         self.field = field
-        self._impl = _Gf2Engine() if field.q == 2 else _GfqEngine(field)
+        self._impl = _Basis(field)
 
     @property
     def rank(self) -> int:
@@ -125,11 +129,11 @@ class RankEngine:
 
     def add(self, codes: Sequence[int]) -> bool:
         """Append a vector; True iff the rank grew."""
-        return self._impl.add(codes)
+        return self._impl.insert(self._impl.pack(codes))[0] >= 0
 
     def contains(self, codes: Sequence[int]) -> bool:
         """Is the vector already in the span (without inserting it)?"""
-        return self._impl.contains(codes)
+        return self._impl.reduce(self._impl.pack(codes))[0] < 0
 
 
 # ---------------------------------------------------------------------------
@@ -209,17 +213,42 @@ def left_null_lexmin(field: Field, rows: Sequence[Sequence[int]],
     """Lexicographically smallest nonzero b with b^T * rows = 0.
 
     Works on the row list of an nrows x ncols matrix (ncols may be 0).
-    The left null space is the null space of the transpose; after putting
-    a basis of it in RREF, the basis row with the largest pivot position
-    is the lex-minimal nonzero vector (most leading zeros, then leading
-    coefficient normalized to 1, remaining coordinates forced).
+    Rows enter a tagged basis last row first, row r tagged with the unit
+    vector e_r.  The first row whose data reduces to zero, say row p, is
+    the largest possible leading position of an annihilator; rows after p
+    are independent, so the annihilators supported from p on form a line,
+    and the reduced tag (coefficient 1 at p) is its lex-minimal point.
     Returns None when the rows are linearly independent.
     """
-    ncols = len(rows[0]) if rows else 0
-    transpose = [[rows[r][c] for r in range(nrows)] for c in range(ncols)]
-    basis = nullspace(field, transpose, nrows)
-    if not basis:
-        return None
-    red, pivots = rref(field, basis)
-    best = max(range(len(pivots)), key=lambda r: pivots[r])
-    return red[best]
+    width = len(rows[0]) if rows else 0
+    basis = _Basis(field, width)
+    for r in range(nrows - 1, -1, -1):
+        p, v = basis.insert(basis.pack(rows[r]) | 1 << (8 * (width + r)))
+        if p < 0:
+            return list((v >> (8 * width)).to_bytes(nrows, "little"))
+    return None
+
+
+def least_solvable_columns(field: Field, rows: Sequence[Sequence[int]],
+                           rhs: Sequence[int], width: int) -> list[int | None]:
+    """For k = 0..len(rows): the least c in 1..width such that some x
+    solves rows[:k], cut to their first c columns, times x = rhs[:k]; None
+    when no c <= width does.
+
+    One pass, and later rows never change earlier reduced rows.  Row k
+    reduces to a combination y_k of the first k rows (y_1..y_k span them
+    all) whose data has a pivot, a lowest nonzero position distinct from
+    the others', or vanishes.  The combinations that vanish on the first c
+    columns are spanned by the y_k without a pivot below c, so the system
+    is solvable exactly when those y_k give y_k . rhs = 0.  Each row
+    carries its rhs entry as a one-entry tag, which reduces to y_k . rhs.
+    """
+    basis = _Basis(field, width)
+    least: int | None = 1
+    out = [least if width else None]
+    for row, b in zip(rows, rhs):
+        p, v = basis.insert(basis.pack([*row, b]))
+        if v >> (8 * width) and least is not None:
+            least = max(least, p + 1) if p >= 0 else None
+        out.append(least if least is not None and least <= width else None)
+    return out

@@ -19,6 +19,7 @@ can only report BelowLimit when every scanned coefficient vanishes.
 from __future__ import annotations
 
 import json
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import InsufficientPrecisionError, TooLargeToEnumerateError
@@ -30,7 +31,7 @@ __all__ = [
     "CoefficientSource", "FiniteSource", "PeriodicSource", "RationalSource",
     "RuleSource", "LaurentSeries", "expand_rational", "frac_abs",
     "poly_times_series_frac", "parse_series", "series_to_text", "as_vector",
-    "register_rule",
+    "register_rule", "period_bound",
 ]
 
 _PERIOD_SEARCH_CAP = 1_000_000
@@ -429,6 +430,19 @@ def series_to_text(theta: LaurentSeries) -> str:
         parts.append("poly=" + _codes_text(theta.poly_part.coeffs))
     parts.append("frac=" + _frac_text(theta.frac))
     return "; ".join(parts)
+
+
+def period_bound(series: Iterable[LaurentSeries]) -> int | None:
+    """Largest preperiod plus the lcm of the periods of the tails: past this
+    index every tail repeats with that common period.  None when some tail
+    has no certified eventual period."""
+    pre, per = 0, 1
+    for s in series:
+        info = s.frac.period_info()
+        if info is None:
+            return None
+        pre, per = max(pre, info[0]), lcm(per, info[1])
+    return pre + per
 
 
 def _parse_codes(text: str) -> list[int]:

@@ -15,19 +15,19 @@ the valid extensions and is reproducible from the seed.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .cantor import ConstructionSchedule, CylinderSet, as_schedule
-from .errors import BudgetExhaustedError, TooLargeToEnumerateError
+from .errors import (BudgetExhaustedError, CertificateFormatError,
+                     TooLargeToEnumerateError)
 from .field import Field
 from .hankel import HankelView, default_weight, left_null_vector
 from .indices import (DEFAULT_J_CUTOFF, IndicesTrace, Stage, StageStatus,
                       indices_sequence)
-from .linalg import RankEngine
-from .series import LaurentSeries, as_vector, series_from_json
+from .linalg import least_solvable_columns
+from .series import LaurentSeries, as_vector, period_bound, series_from_json
 from .weights import GeneralizedWeight
 
 __all__ = ["CertStage", "Certificate", "gamma_prefix",
@@ -117,31 +117,80 @@ class Certificate:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Certificate":
-        field = Field.of_order(int(obj["q"]), obj.get("modulus"))
-        d = int(obj["d"])
-        weight = GeneralizedWeight.from_json(obj["weight"])
-        theta = tuple(series_from_json(t, field) for t in obj["theta"])
+        """Parse a certificate document, checking the presence, type and
+        range of every field; malformed input raises CertificateFormatError."""
+        field = Field.of_order(_need(obj, "q"), obj.get("modulus"))
+        d = _need(obj, "d")
+        try:
+            weight = GeneralizedWeight.from_json(_need(obj, "weight", dict))
+            theta = tuple(series_from_json(t, field) for t in _need(obj, "theta", list))
+        except (KeyError, TypeError, IndexError) as exc:
+            raise CertificateFormatError(f"malformed theta or weight: {exc!r}") from exc
+        if not d == weight.d == len(theta):
+            raise CertificateFormatError(f"d={d} disagrees with the weight or theta")
 
-        def unflatten(x) -> tuple[tuple[int, ...], ...]:
-            if d == 1 and (not x or not isinstance(x[0], list)):
-                return (tuple(x),)
-            return tuple(tuple(c) for c in x)
+        def codes(x, what: str) -> tuple[int, ...]:
+            if not isinstance(x, list) or not all(
+                    type(c) is int and 0 <= c < field.q for c in x):
+                raise CertificateFormatError(f"{what} must list codes in range({field.q})")
+            return tuple(x)
 
-        stages = [CertStage(m=st["m"], i=st["i"], j_next=st["j"],
-                            status=st["status"], width=st["width"],
-                            b=tuple(st["b"]),
-                            new_digits=unflatten(st["gamma_digits"]))
-                  for st in obj["stages"]]
-        return cls(field=field, d=d, ell=int(obj["ell"]), weight=weight,
+        def per_coord(x, what: str) -> tuple[tuple[int, ...], ...]:
+            if d == 1 and not any(isinstance(c, list) for c in x):
+                x = [x]
+            if len(x) != d:
+                raise CertificateFormatError(f"{what} must hold {d} digit lists")
+            return tuple(codes(c, what) for c in x)
+
+        stages = [CertStage(m=_need(st, "m"), i=_need(st, "i", lo=0),
+                            j_next=_need(st, "j", (int, type(None))),
+                            status=_need(st, "status", str),
+                            width=_need(st, "width", lo=0),
+                            b=codes(_need(st, "b", list), "b"),
+                            new_digits=per_coord(_need(st, "gamma_digits", list),
+                                                 "gamma_digits"))
+                  for st in _need(obj, "stages", list)]
+        return cls(field=field, d=d, ell=_need(obj, "ell"), weight=weight,
                    theta=theta, stages=stages,
-                   gamma_digits=unflatten(obj["gamma_prefix"]),
-                   truncated=bool(obj["truncated"]),
-                   policy=obj.get("policy", "lexmin"))
+                   gamma_digits=per_coord(_need(obj, "gamma_prefix", list),
+                                          "gamma_prefix"),
+                   truncated=_need(obj, "truncated", bool),
+                   policy=_need(obj, "policy", str) if "policy" in obj else "lexmin")
+
+
+def _need(doc, key: str, kind=int, lo: int | None = None):
+    """doc[key], which must be present, of the given type (a bool is no
+    int) and, when lo is given, at least lo."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise CertificateFormatError(f"certificate field {key!r} is missing")
+    value = doc[key]
+    wrong_type = not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool)
+    if wrong_type or (lo is not None and value < lo):
+        raise CertificateFormatError(f"certificate field {key!r} is malformed")
+    return value
 
 
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
+
+def _split_positions(g_prev: tuple[int, ...], g_now: tuple[int, ...],
+                     digits) -> tuple[list[int], list[int]]:
+    """The stacked vector at block heights g_now holding the digits fixed
+    at heights g_prev (zeros at the new positions), and the new positions,
+    in order."""
+    known = [0] * sum(g_now)
+    new_positions: list[int] = []
+    off = 0
+    for s, h in enumerate(g_now):
+        for idx in range(h):
+            if idx < g_prev[s]:
+                known[off + idx] = digits[s][idx]
+            else:
+                new_positions.append(off + idx)
+        off += h
+    return known, new_positions
+
 
 def _pick_extension(field: Field, b: tuple[int, ...], known: list[int],
                     new_positions: list[int], policy: str,
@@ -154,26 +203,18 @@ def _pick_extension(field: Field, b: tuple[int, ...], known: list[int],
     (zeros anywhere later contribute nothing, so this is minimal).
     """
     f = field
-    fixed = 0
-    for pos, x in enumerate(known):
-        if x and b[pos]:
-            fixed = f.add(fixed, f.mul(b[pos], x))
-    support = [pos for pos in new_positions if b[pos] != 0]
-    if not support:
+    fixed = f.dot(b, known)
+    b_new = [b[pos] for pos in new_positions]
+    if not any(b_new):
         raise AssertionError("annihilator has no support on the new rows")
     if rng is None:
-        if fixed != 0:
-            return [0] * len(new_positions)
         u = [0] * len(new_positions)
-        u[new_positions.index(support[-1])] = 1
+        if fixed == 0:
+            u[max(k for k, c in enumerate(b_new) if c)] = 1
         return u
     while True:
         u = [rng.randrange(f.q) for _ in new_positions]
-        acc = fixed
-        for pos, x in zip(new_positions, u):
-            if x and b[pos]:
-                acc = f.add(acc, f.mul(b[pos], x))
-        if acc != 0:
+        if f.add(fixed, f.dot(b_new, u)) != 0:
             return u
 
 
@@ -228,27 +269,12 @@ def gamma_prefix(theta, weight: GeneralizedWeight | None = None,
         i_m = cur.i
         b = left_null_vector(vec, w, i_m, width)
         assert b is not None, "rank below extent must leave an annihilator"
-        g_now = w.eval(i_m)
-        g_prev = w.eval(prev_i)
-        offs = []
-        acc = 0
-        for s in range(w.d):
-            offs.append(acc)
-            acc += g_now[s]
-        known = [0] * i_m
-        new_positions: list[int] = []
-        for s in range(w.d):
-            for idx in range(g_now[s]):
-                pos = offs[s] + idx
-                if idx < g_prev[s]:
-                    known[pos] = digits[s][idx]
-                else:
-                    new_positions.append(pos)
-        u = _pick_extension(field, b, known, new_positions, policy, rng)
-        by_pos = dict(zip(new_positions, u))
+        g_now, g_prev = w.eval(i_m), w.eval(prev_i)
+        known, new_positions = _split_positions(g_prev, g_now, digits)
+        u = iter(_pick_extension(field, b, known, new_positions, policy, rng))
         new_digits = []
         for s in range(w.d):
-            add = [by_pos[offs[s] + idx] for idx in range(g_prev[s], g_now[s])]
+            add = [next(u) for _ in range(g_prev[s], g_now[s])]
             digits[s].extend(add)
             new_digits.append(tuple(add))
         stages.append(CertStage(m=m, i=i_m, j_next=nxt.j, status=status,
@@ -286,6 +312,8 @@ def verify_certificate(cert: Certificate, j_cap: int | None = None) -> Certifica
     Beyond replaying the annihilation identities, the solvability claims
     are checked directly: for every stage and every covered column count
     j, the linear system M[i_m, j] n = pi(gamma) must have no solution.
+    Each stage also needs i_m <= j_m + ell (j_m the previous stage's j, 0
+    before the first), which is what makes c >= q^-(1+ell) follow.
     Nothing from the construction run is trusted."""
     checks: list[tuple[str, bool, str]] = []
 
@@ -295,100 +323,92 @@ def verify_certificate(cert: Certificate, j_cap: int | None = None) -> Certifica
     vec = cert.theta
     w = cert.weight
     field = cert.field
-    prev_i = 0
-    prev_ext = [0] * cert.d
-    for st in cert.stages:
+    stages = cert.stages
+    heights = [w.eval(st.i) for st in stages]
+    shaped = [len(st.b) == st.i and all(len(cert.gamma_digits[s]) >= h
+                                        for s, h in enumerate(g))
+              for st, g in zip(stages, heights)]
+    caps = [st.width if j_cap is None else max(0, min(st.width, j_cap))
+            for st in stages]
+    checked = [(st.i, cap) for st, ok, cap in zip(stages, shaped, caps) if ok]
+    least = None
+    if checked and all(a.i <= b.i and a.width <= b.width
+                       for a, b in zip(stages, stages[1:])):
+        # stage m's rows are the first i_m rows in walk order, so one pass
+        # at the last (largest) checked extent and width answers every stage
+        least = _least_solvable(cert, *checked[-1])
+    prev_i = prev_j = prev_width = 0
+    g_prev = w.eval(0)
+    for st, g_now, shape_ok, cap in zip(stages, heights, shaped, caps):
         tag = f"stage{st.m}"
         add(f"{tag}_b_nonzero", any(st.b), "")
         add(f"{tag}_i_step", st.i >= prev_i + cert.ell,
             f"i={st.i}, previous {prev_i}, ell={cert.ell}")
-        g_now = w.eval(st.i)
+        add(f"{tag}_i_bound", st.i <= prev_j + cert.ell,
+            f"i={st.i}, previous j {prev_j}, ell={cert.ell}")
+        add(f"{tag}_monotone", st.i >= prev_i and st.width >= prev_width,
+            f"i={st.i}, width {st.width} after i={prev_i}, width {prev_width}")
         add(f"{tag}_digit_shape",
-            all(len(st.new_digits[s]) == g_now[s] - prev_ext[s]
+            all(len(st.new_digits[s]) == g_now[s] - g_prev[s]
                 for s in range(cert.d)),
-            f"extents {prev_ext} -> {g_now}")
-        shape_ok = (len(st.b) == st.i
-                    and all(len(cert.gamma_digits[s]) >= g_now[s]
-                            for s in range(cert.d)))
+            f"extents {list(g_prev)} -> {g_now}")
         add(f"{tag}_row_shape", shape_ok,
             f"{len(st.b)} annihilator entries for row extent {st.i}")
-        if not shape_ok:
-            # the remaining checks index by the claimed extent; skip them
-            # rather than crash on malformed data
-            prev_i = st.i
-            prev_ext = list(g_now)
-            continue
-        if st.j_next is not None:
-            add(f"{tag}_width_matches_j", st.width == st.j_next - 1,
-                f"width {st.width}, j_next {st.j_next}")
-        # annihilation across the full covered width
-        view = HankelView.of(vec, w, st.i, st.width)
-        rows = view.stacked_rows() if st.width > 0 else []
-        ann_ok = True
-        for c in range(st.width):
-            acc = 0
-            for r in range(st.i):
-                if st.b[r] and rows[r][c]:
-                    acc = field.add(acc, field.mul(st.b[r], rows[r][c]))
-            if acc != 0:
-                ann_ok = False
-                break
-        add(f"{tag}_annihilates", ann_ok, f"width {st.width}")
-        # target digits must hit the annihilator
-        pi = cert.gamma_stacked(st.i)
-        acc = 0
-        for r in range(st.i):
-            if st.b[r] and pi[r]:
-                acc = field.add(acc, field.mul(st.b[r], pi[r]))
-        add(f"{tag}_digits_hit", acc != 0, "b . pi(gamma) must be nonzero")
-        # b must touch the rows added at this stage
-        offs = view.weight.eval(st.i)
-        starts = []
-        base = 0
-        for s in range(cert.d):
-            starts.append(base)
-            base += offs[s]
-        new_support = any(
-            st.b[starts[s] + idx]
-            for s in range(cert.d)
-            for idx in range(prev_ext[s], offs[s]))
-        add(f"{tag}_new_row_support", new_support,
-            "annihilator must involve the new rows")
-        # direct non-solvability of every covered system
-        cap = st.width if j_cap is None else min(st.width, j_cap)
-        engine = RankEngine(field)
-        solvable_at = None
-        for c in range(1, cap + 1):
-            engine.add([rows[r][c - 1] for r in range(st.i)])
-            if engine.contains(pi):
-                solvable_at = c
-                break
-        add(f"{tag}_no_solution", solvable_at is None,
-            "" if solvable_at is None else f"solvable at j={c}")
-        if st.status == "infinite":
-            cert_ok = True
-            pre = 0
-            per = 1
-            for s_series in vec:
-                info = s_series.frac.period_info()
-                if info is None:
-                    cert_ok = False
-                    break
-                pre = max(pre, info[0])
-                per = per * info[1] // math.gcd(per, info[1])
-            add(f"{tag}_plateau_certified",
-                cert_ok and st.width >= pre + per,
-                f"width {st.width} vs certification bound")
-        prev_i = st.i
-        prev_ext = list(g_now)
+        if shape_ok:
+            # the remaining checks index by the claimed extent
+            if st.j_next is not None:
+                add(f"{tag}_width_matches_j", st.width == st.j_next - 1,
+                    f"width {st.width}, j_next {st.j_next}")
+            rows = HankelView.of(vec, w, st.i, st.width).stacked_rows()
+            add(f"{tag}_annihilates",
+                not any(field.dot(st.b, col) for col in zip(*rows)),
+                f"width {st.width}")
+            add(f"{tag}_digits_hit", field.dot(st.b, cert.gamma_stacked(st.i)) != 0,
+                "b . pi(gamma) must be nonzero")
+            _, new_positions = _split_positions(g_prev, g_now, cert.gamma_digits)
+            add(f"{tag}_new_row_support", any(st.b[pos] for pos in new_positions),
+                "annihilator must involve the new rows")
+            # direct non-solvability of every covered system
+            if least is None:
+                add(f"{tag}_no_solution", False, "not checked: stages not monotone")
+            else:
+                c = least[st.i]
+                solvable = c is not None and c <= cap
+                add(f"{tag}_no_solution", not solvable,
+                    f"solvable at j={c}" if solvable else "")
+            if st.status == "infinite":
+                bound = period_bound(vec)
+                add(f"{tag}_plateau_certified",
+                    bound is not None and st.width >= bound,
+                    f"width {st.width} vs certification bound")
+        prev_i, prev_width, g_prev = st.i, st.width, g_now
+        prev_j = st.j_next if st.j_next is not None else prev_j
     # prefix consistency
     rebuilt = [[] for _ in range(cert.d)]
-    for st in cert.stages:
+    for st in stages:
         for s in range(cert.d):
             rebuilt[s].extend(st.new_digits[s])
     add("prefix_matches_stages",
         tuple(tuple(x) for x in rebuilt) == cert.gamma_digits, "")
     return CertificateReport(all(c[1] for c in checks), checks)
+
+
+def _least_solvable(cert: Certificate, n: int, width: int) -> list[int | None]:
+    """least_solvable_columns over the first n rows of the certificate's
+    matrix at the given width, in walk order: row k (1-based) is row
+    g^s(k) of block s = weight.assign(k), so for every i <= n the first i
+    rows are exactly the rows of M[i, width]."""
+    w = cert.weight
+    rows = HankelView.of(cert.theta, w, n, width).stacked_rows()
+    pi = cert.gamma_stacked(n)
+    cursor = list(w.offsets(n))     # next stacked row of each block
+    order = []
+    for k in range(1, n + 1):
+        s = w.assign(k) - 1
+        order.append(cursor[s])
+        cursor[s] += 1
+    return least_solvable_columns(cert.field, [rows[o] for o in order],
+                                  [pi[o] for o in order], width)
 
 
 # ---------------------------------------------------------------------------
@@ -416,35 +436,14 @@ def extension_counts(cert: Certificate, m: int,
     excluded = q ** (gap - 1)
     if total <= enum_cap:
         f = cert.field
-        w = cert.weight
-        g_now = w.eval(st.i)
-        g_prev = w.eval(prev_i)
-        offs = []
-        acc = 0
-        for s in range(cert.d):
-            offs.append(acc)
-            acc += g_now[s]
-        known = [0] * st.i
-        new_positions = []
-        for s in range(cert.d):
-            for idx in range(g_now[s]):
-                pos = offs[s] + idx
-                if idx < g_prev[s]:
-                    known[pos] = cert.gamma_digits[s][idx]
-                else:
-                    new_positions.append(pos)
-        fixed = 0
-        for pos, x in enumerate(known):
-            if x and st.b[pos]:
-                fixed = f.add(fixed, f.mul(st.b[pos], x))
+        known, new_positions = _split_positions(
+            cert.weight.eval(prev_i), cert.weight.eval(st.i), cert.gamma_digits)
+        fixed = f.dot(st.b, known)
+        b_new = [st.b[pos] for pos in new_positions]
         count = 0
         u = [0] * gap
         while True:
-            acc2 = fixed
-            for pos, x in zip(new_positions, u):
-                if x and st.b[pos]:
-                    acc2 = f.add(acc2, f.mul(st.b[pos], x))
-            if acc2 == 0:
+            if f.add(fixed, f.dot(b_new, u)) == 0:
                 count += 1
             k = gap - 1
             while k >= 0 and u[k] == q - 1:
@@ -503,12 +502,7 @@ def survivor_cylinders(cert: Certificate, stage_count: int | None = None,
                         widened.append(tuple(nxt))
                 exts = widened
             for cand in exts:
-                stacked = [c for s in range(cert.d) for c in cand[s]]
-                acc = 0
-                for pos, x in enumerate(stacked):
-                    if x and st.b[pos]:
-                        acc = f.add(acc, f.mul(st.b[pos], x))
-                if acc != 0:
+                if f.dot(st.b, [c for s in range(cert.d) for c in cand[s]]):
                     new_blocks.append(cand)
         blocks = new_blocks
         out.append(CylinderSet(tuple(g_now),

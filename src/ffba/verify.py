@@ -17,7 +17,6 @@ theta is itself a polynomial and drops out of <.>, as does gamma's.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -28,7 +27,8 @@ from .hankel import HankelView, default_weight, square_invertibility_spectrum
 from .linalg import nullspace, solve
 from .polynomial import Poly
 from .qval import QVal, ZERO, qexp
-from .series import LaurentSeries, as_vector, poly_times_series_frac, rule_source
+from .series import (LaurentSeries, as_vector, period_bound,
+                     poly_times_series_frac, rule_source)
 from .weights import GeneralizedWeight
 
 __all__ = ["DepthBoundedConstant", "c_depth", "c_depth_weighted",
@@ -62,13 +62,7 @@ def _coord_contexts(vec: tuple[LaurentSeries, ...],
                     max_deg: int, prec: int | None) -> list[_Coord]:
     out: list[_Coord] = []
     for s, (th_s, gm_s) in enumerate(zip(vec, gvec)):
-        info_t = th_s.frac.period_info()
-        info_g = gm_s.frac.period_info()
-        zero_width = None
-        if info_t is not None and info_g is not None:
-            pre = max(info_t[0], info_g[0])
-            per = info_t[1] * info_g[1] // math.gcd(info_t[1], info_g[1])
-            zero_width = pre + per
+        zero_width = period_bound((th_s, gm_s))
         target = zero_width if zero_width is not None \
             else (prec if prec is not None else DEFAULT_UNCERTIFIED_SCAN)
         if prec is not None:
@@ -373,15 +367,7 @@ def matrix_condition_check(theta, gamma,
     pi: list[int] = []
     for s in range(w.d):
         pi.extend(gvec[s].frac_coeffs(g_big[s]))
-    matrix_ok = True
-    for r, row in enumerate(rows):
-        acc = 0
-        for c in range(h + 1):
-            if row[c] and nvec[c]:
-                acc = field.add(acc, field.mul(row[c], nvec[c]))
-        if acc != pi[r]:
-            matrix_ok = False
-            break
+    matrix_ok = all(field.dot(row, nvec) == p for row, p in zip(rows, pi))
     return MatrixConditionReport(series_ok, matrix_ok)
 
 

@@ -212,6 +212,50 @@ def dense_solvable(f, rows, rhs):
     return dense_rank(f, aug) == dense_rank(f, [list(r) for r in rows])
 
 
+def _rref(f, rows):
+    """Reduced row echelon form and pivot columns, textbook style."""
+    mat = [list(r) for r in rows]
+    pivots = []
+    ncols = len(mat[0]) if mat else 0
+    for col in range(ncols):
+        sel = next((r for r in range(len(pivots), len(mat)) if mat[r][col]), None)
+        if sel is None:
+            continue
+        top = len(pivots)
+        mat[top], mat[sel] = mat[sel], mat[top]
+        inv = f.inv(mat[top][col])
+        mat[top] = [f.mul(inv, x) for x in mat[top]]
+        for r in range(len(mat)):
+            if r != top and mat[r][col]:
+                c = mat[r][col]
+                mat[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(mat[r], mat[top])]
+        pivots.append(col)
+    return mat, pivots
+
+
+def left_null_lexmin_rref(f, rows, nrows):
+    """Lex-least nonzero b with b^T * rows = 0, by the slow route: a null
+    space basis of the transpose (free-variable method), put in RREF; the
+    basis row with the largest pivot is the lex minimum.  None when the
+    rows are independent."""
+    ncols = len(rows[0]) if rows else 0
+    transpose = [[rows[r][c] for r in range(nrows)] for c in range(ncols)]
+    red, pivots = _rref(f, transpose)
+    basis = []
+    for free in range(nrows):
+        if free in pivots:
+            continue
+        v = [0] * nrows
+        v[free] = 1
+        for r, col in enumerate(pivots):
+            v[col] = f.neg(red[r][free])
+        basis.append(v)
+    if not basis:
+        return None
+    red, pivots = _rref(f, basis)
+    return red[max(range(len(pivots)), key=lambda r: pivots[r])]
+
+
 def left_annihilators(f, rows):
     """All nonzero b with b . column = 0 for every column, by enumeration.
 

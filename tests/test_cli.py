@@ -202,6 +202,52 @@ def test_certificate_check_flags_tampering(tmp_path, capsys):
     assert any(not c["ok"] for c in out["checks"])
 
 
+def test_certificate_check_rejects_lowered_ell(tmp_path, capsys):
+    code, doc = run_json(capsys, "gamma", "--q", "2", "--theta", THETA,
+                         "--ell", "1")
+    doc["ell"] = 0
+    path = tmp_path / "ell0.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_json(capsys, "certificate-check", "--file", str(path))
+    assert code == EXIT_VERIFY and out["ok"] is False
+    assert {"name": "stage0_i_bound", "ok": False,
+            "detail": "i=1, previous j 0, ell=0"} in out["checks"]
+
+
+def _b_out_of_range(doc):
+    doc["stages"][0]["b"] = [3]
+
+
+def _digit_out_of_range(doc):
+    doc["gamma_prefix"][0] = 3
+    doc["stages"][0]["gamma_digits"] = [3]
+
+
+def _width_missing(doc):
+    del doc["stages"][0]["width"]
+
+
+def _ell_not_int(doc):
+    doc["ell"] = "1"
+
+
+def _d_disagrees(doc):
+    doc["d"] = 2
+
+
+@pytest.mark.parametrize("mutate", [_b_out_of_range, _digit_out_of_range,
+                                    _width_missing, _ell_not_int, _d_disagrees])
+def test_certificate_check_rejects_malformed_input(tmp_path, capsys, mutate):
+    code, doc = run_json(capsys, "gamma", "--q", "2", "--theta", THETA,
+                         "--ell", "1")
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "certificate-check", "--file", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("ffba: error:") and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 # ---------------------------------------------------------------------------

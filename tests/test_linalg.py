@@ -5,12 +5,14 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ffba import Field
-from ffba.linalg import (RankEngine, left_null_lexmin, nullspace, rank_dense,
-                         rref, solve)
+from ffba.linalg import (RankEngine, least_solvable_columns, left_null_lexmin,
+                         nullspace, rank_dense, rref, solve)
 
-from oracles import OracleField, dense_rank, dense_solvable, left_annihilators
+from oracles import (OracleField, dense_rank, dense_solvable,
+                     left_annihilators, left_null_lexmin_rref)
 
 FIELDS = [Field(2), Field(3), Field(2, 2), Field(3, 2)]
 
@@ -133,3 +135,61 @@ def test_rank_engine_contains_rejects_outside_span():
     assert eng.contains([1, 1, 1])
     assert not eng.contains([0, 0, 1])
     assert eng.contains([0, 0, 0])
+
+
+# ---------------------------------------------------------------------------
+# tagged one-pass kernels against the slow routes
+# ---------------------------------------------------------------------------
+
+def _oracle(f):
+    return OracleField(f.p, f.k, list(f.modulus) if f.k > 1 else None)
+
+
+@st.composite
+def _matrices(draw, max_rows=12, max_cols=16):
+    """Matrices over q in {2, 3, 4, 9} (and 17, whose entry pairs do not fit
+    one byte) whose rows combine a few seed rows, so dependent rows are
+    common; some columns are zeroed."""
+    f = draw(st.sampled_from(FIELDS + [Field(17)]))
+    of = _oracle(f)
+    nrows = draw(st.integers(0, max_rows))
+    ncols = draw(st.integers(0, max_cols))
+    code = st.integers(0, f.q - 1)
+    seeds = draw(st.lists(st.lists(code, min_size=ncols, max_size=ncols),
+                          min_size=1, max_size=max(1, nrows)))
+    zero_cols = draw(st.sets(st.integers(0, max(0, ncols - 1)), max_size=ncols))
+    rows = []
+    for _ in range(nrows):
+        row = [0] * ncols
+        for seed in seeds:
+            c = draw(code)
+            row = [of.add(x, of.mul(c, y)) for x, y in zip(row, seed)]
+        rows.append([0 if col in zero_cols else x for col, x in enumerate(row)])
+    return f, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices())
+@example((Field(3), []))                            # zero rows
+@example((Field(2), [[], [], []]))                  # zero columns
+@example((Field(3, 2), [[1, 0, 0], [0, 1, 0]]))     # full row rank
+def test_left_null_lexmin_matches_rref_route(case):
+    f, rows = case
+    assert left_null_lexmin(f, rows, len(rows)) == \
+        left_null_lexmin_rref(_oracle(f), rows, len(rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices(max_rows=8, max_cols=8), st.data())
+def test_least_solvable_columns_matches_column_scan(case, data):
+    f, rows = case
+    of = _oracle(f)
+    width = len(rows[0]) if rows else 0
+    rhs = data.draw(st.lists(st.integers(0, f.q - 1), min_size=len(rows),
+                             max_size=len(rows)))
+    got = least_solvable_columns(f, rows, rhs, width)
+    for k in range(len(rows) + 1):
+        want = next((c for c in range(1, width + 1)
+                     if dense_solvable(of, [r[:c] for r in rows[:k]], rhs[:k])),
+                    None)
+        assert got[k] == want

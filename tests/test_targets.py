@@ -11,11 +11,12 @@ import pytest
 
 from ffba import (Field, GeneralizedWeight, c_depth, extension_counts,
                   gamma_prefix, indices_sequence, measure_after_stages,
-                  parse_series, qexp, schedule_from_certificate,
+                  parse_series, parse_weight, qexp, schedule_from_certificate,
                   survivor_cylinders, validate_tree_like, verify_certificate)
+from ffba.hankel import HankelView
 from ffba.targets import Certificate
 
-from oracles import count_hyperplane
+from oracles import OracleField, count_hyperplane, dense_solvable
 
 
 def _series(f, digits):
@@ -167,6 +168,70 @@ def test_verify_flags_stale_digits():
     bad = _tamper_stage(cert, 1, new_digits=((1, 1),))
     rep = verify_certificate(bad)
     assert not rep.ok
+
+
+def test_verify_rejects_lowered_ell():
+    """t^-2 has c = q^-2 exactly; with ell = 0 the certificate would claim
+    c >= q^-1, which fails i_m <= j_m + ell at the first stage (j_0 = 0)."""
+    _, cert = _worked(2)
+    doc = cert.to_json()
+    doc["ell"] = 0
+    rep = verify_certificate(Certificate.from_json(doc))
+    assert not rep.ok
+    assert "stage0_i_bound" in [name for name, ok, _ in rep.failed()]
+
+
+def _window_certificate(q=2, length=40, seed=3):
+    f = Field(q)
+    rng = random.Random(seed)
+    th = _series(f, [rng.randrange(q) for _ in range(length)])
+    return gamma_prefix(th, ell=1, stage_budget=8)
+
+
+@pytest.mark.parametrize("change", [{"width": -1}, {"i": -1}])
+def test_verify_rejects_decreasing_stages(change):
+    """A stage whose extent or width falls below the previous stage's is a
+    failed check, not an exception, and skips the one-pass solvability
+    check instead of answering it wrongly."""
+    cert = _window_certificate()
+    prev = cert.stages[2]
+    key, delta = next(iter(change.items()))
+    bad = _tamper_stage(cert, 3, **{key: getattr(prev, key) + delta})
+    rep = verify_certificate(bad)
+    failed = {name: detail for name, ok, detail in rep.failed()}
+    assert not rep.ok and "stage3_monotone" in failed
+    assert failed.get("stage0_no_solution") == "not checked: stages not monotone"
+
+
+@pytest.mark.parametrize("q, d, weight", [(2, 1, None), (3, 1, None),
+                                          (2, 2, "equal"), (3, 2, "r:1/3,2/3")])
+def test_verify_least_solvable_column_matches_dense_scan(q, d, weight):
+    """With random target digits some stage systems become solvable; the
+    verifier's verdict and its 'solvable at j=c' column must match a
+    column-by-column dense_solvable scan, with and without j_cap."""
+    f = Field(q)
+    of = OracleField(q)
+    rng = random.Random(17 * q + d)
+    vec = tuple(_series(f, [rng.randrange(q) for _ in range(30)]) for _ in range(d))
+    w = parse_weight(weight, d) if weight else None
+    cert = gamma_prefix(vec, w, ell=1, stage_budget=8)
+    solvable_seen = 0
+    for _ in range(4):
+        bad = dataclasses.replace(cert, gamma_digits=tuple(
+            tuple(rng.randrange(q) for _ in ds) for ds in cert.gamma_digits))
+        for j_cap in (None, 3, 7):
+            checks = {name: (ok, detail)
+                      for name, ok, detail in verify_certificate(bad, j_cap).checks}
+            for st in bad.stages:
+                cap = st.width if j_cap is None else min(st.width, j_cap)
+                rows = HankelView.of(bad.theta, bad.weight, st.i, cap).stacked_rows()
+                pi = bad.gamma_stacked(st.i)
+                want = next((c for c in range(1, cap + 1)
+                             if dense_solvable(of, [r[:c] for r in rows], pi)), None)
+                assert checks[f"stage{st.m}_no_solution"] == \
+                    (want is None, "" if want is None else f"solvable at j={want}")
+                solvable_seen += want is not None
+    assert solvable_seen
 
 
 # ---------------------------------------------------------------------------
