@@ -14,7 +14,7 @@ from .cantor import (ConstructionSchedule, CylinderSet, TreeReport,
                      as_schedule, dimension_lower_bound, measure_after_stages,
                      validate_tree_like)
 from .errors import (BudgetExhaustedError, CertificateFormatError,
-                     DegenerateScheduleError, FfbaError,
+                     DegenerateScheduleError, ElementCodeError, FfbaError,
                      InsufficientPrecisionError, InvalidScheduleError,
                      MissingModulusError, NonPrimeError, ReducibleModulusError,
                      TooLargeToEnumerateError)
@@ -49,7 +49,7 @@ __all__ = [
     "BelowLimit", "BudgetExhaustedError", "CertStage", "Certificate",
     "CertificateFormatError", "CertificateReport", "CoefficientSource", "ComparisonReport",
     "ConstructionSchedule", "CylinderSet", "DegenerateScheduleError",
-    "DepthBoundedConstant", "ExtensionCount", "FfbaError", "Field",
+    "DepthBoundedConstant", "ElementCodeError", "ExtensionCount", "FfbaError", "Field",
     "FiniteSource", "GeneralizedWeight", "HankelView", "IndicesTrace",
     "InsufficientPrecisionError", "InvalidScheduleError", "LaurentSeries",
     "LiminfReport", "M0Report", "MatrixConditionReport",

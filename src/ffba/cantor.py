@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import DegenerateScheduleError, InvalidScheduleError
@@ -117,6 +118,8 @@ def measure_after_stages(schedule: ConstructionSchedule, m: int, q: int) -> Frac
     """Exact surviving measure after m stages, assuming full removal
     (exactly q^{ellp} extensions removed per cylinder per stage)."""
     schedule._check_stage_range(m)
+    if q < 2:
+        raise ValueError(f"field order {q} must be at least 2")
     out = Fraction(1)
     for k in range(m):
         total = sum(schedule.stage_ell(k))
@@ -177,6 +180,8 @@ def dimension_lower_bound(source, m: int | None = None, d: int | None = None,
         q = getattr(field, "q", None)
     if q is None:
         raise ValueError("field size q is required for the dimension bound")
+    if q < 2:
+        raise ValueError(f"field order {q} must be at least 2")
     const = (math.log(q) - math.log(q - 1)) / math.log(q)
     if m is None and schedule.kind == "constant":
         lo = min(schedule.ell)
@@ -188,11 +193,7 @@ def dimension_lower_bound(source, m: int | None = None, d: int | None = None,
     if m < 1:
         raise InvalidScheduleError("finite-stage bound needs m >= 1")
     schedule._check_stage_range(m)
-    sums = [0] * schedule.d
-    for k in range(m):
-        for s, x in enumerate(schedule.stage_ell(k)):
-            sums[s] += x
-    lo = min(sums)
+    lo = min(map(sum, zip(*(schedule.stage_ell(k) for k in range(m)))))
     if lo == 0:
         raise DegenerateScheduleError("a coordinate never refines")
     return schedule.d - float(Fraction(m + 1, lo)) * const
@@ -219,20 +220,12 @@ class CylinderSet:
         return Fraction(len(self.blocks), q ** self.total)
 
     def offsets(self) -> tuple[int, ...]:
-        out = []
-        acc = 0
-        for x in self.ell:
-            out.append(acc)
-            acc += x
-        return tuple(out)
+        return tuple(accumulate(self.ell[:-1], initial=0))[:len(self.ell)]
 
     def restrict_block(self, block: tuple, smaller: tuple[int, ...]) -> tuple:
         """Project a stacked block down to a smaller extent vector."""
-        offs = self.offsets()
-        out: list[int] = []
-        for s, take in enumerate(smaller):
-            out.extend(block[offs[s]:offs[s] + take])
-        return tuple(out)
+        return tuple(c for off, take in zip(self.offsets(), smaller)
+                     for c in block[off:off + take])
 
 
 @dataclass

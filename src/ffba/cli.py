@@ -264,38 +264,28 @@ def _cmd_liminf_theta(args) -> int:
     return EXIT_OK if structure.meets_k else EXIT_VERIFY
 
 
-def _cmd_measure(args) -> int:
+def _schedule_doc(args) -> tuple[ConstructionSchedule, dict]:
     schedule = ConstructionSchedule.constant(_parse_codes(args.ell), args.ellp)
+    return schedule, {"q": args.q, "d": schedule.d, "ell": list(schedule.ell),
+                      "ellp": schedule.ellp, "stages": args.stages}
+
+
+def _cmd_measure(args) -> int:
+    schedule, out = _schedule_doc(args)
     measure = measure_after_stages(schedule, args.stages, args.q)
-    _emit({
-        "q": args.q,
-        "d": schedule.d,
-        "ell": list(schedule.ell),
-        "ellp": schedule.ellp,
-        "stages": args.stages,
-        "measure_num": measure.numerator,
-        "measure_den": measure.denominator,
-    }, args.format)
+    out.update(measure_num=measure.numerator, measure_den=measure.denominator)
+    _emit(out, args.format)
     return EXIT_OK
 
 
 def _cmd_dimension(args) -> int:
-    schedule = ConstructionSchedule.constant(_parse_codes(args.ell), args.ellp)
-    bound = dimension_lower_bound(schedule, q=args.q)
-    out = {
-        "q": args.q,
-        "d": schedule.d,
-        "ell": list(schedule.ell),
-        "ellp": schedule.ellp,
-        "stages": args.stages,
-        "bound": bound,
-    }
+    schedule, out = _schedule_doc(args)
+    out["bound"] = dimension_lower_bound(schedule, q=args.q)
     if args.stages is not None:
         measure = measure_after_stages(schedule, args.stages, args.q)
-        out["measure_num"] = measure.numerator
-        out["measure_den"] = measure.denominator
-        out["finite_stage_bound"] = dimension_lower_bound(
-            schedule, args.stages, q=args.q)
+        out.update(measure_num=measure.numerator, measure_den=measure.denominator,
+                   finite_stage_bound=dimension_lower_bound(schedule, args.stages,
+                                                            q=args.q))
     _emit(out, args.format)
     return EXIT_OK
 
@@ -326,6 +316,7 @@ def _cmd_certificate_check(args) -> int:
     report = verify_certificate(cert, j_cap=args.j_cap)
     out = {
         "ok": report.ok,
+        "partial": report.partial,
         "stages": len(cert.stages),
         "truncated": cert.truncated,
         "checks": [{"name": n, "ok": ok, "detail": detail}
@@ -437,7 +428,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("certificate-check",
                        help="re-verify a stored construction certificate")
     p.add_argument("--file", required=True, help="certificate JSON ('-' = stdin)")
-    p.add_argument("--j-cap", type=int)
+    p.add_argument("--j-cap", type=int,
+                   help="check solvability only up to this column count "
+                        "(the report then says partial: true)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=_cmd_certificate_check)
 

@@ -20,6 +20,11 @@ class ReducibleModulusError(FfbaError, ValueError):
     """The supplied modulus polynomial is not irreducible over F_p."""
 
 
+class ElementCodeError(FfbaError, ValueError):
+    """An int that should be an element code of F_q lies outside range(q),
+    such as a series digit that does not fit the field."""
+
+
 class InsufficientPrecisionError(FfbaError):
     """A coefficient beyond a source's guaranteed range was requested.
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .errors import MissingModulusError, NonPrimeError, ReducibleModulusError
+from .errors import (ElementCodeError, MissingModulusError, NonPrimeError,
+                     ReducibleModulusError)
 
 __all__ = ["Field", "DEFAULT_MODULI", "field_new", "elem_arith"]
 
@@ -240,7 +241,7 @@ class Field:
 
     def check(self, a: int) -> int:
         if not isinstance(a, int) or not 0 <= a < self.q:
-            raise ValueError(f"{a!r} is not an element code of F_{self.q}")
+            raise ElementCodeError(f"{a!r} is not an element code of F_{self.q}")
         return a
 
     def elements(self) -> Iterator[int]:

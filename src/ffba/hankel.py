@@ -7,20 +7,27 @@ coefficient theta^s_{r-1+c}.  The stacked row order is block 1's rows, then
 block 2's, and so on; sum_s g^s(i) = i, so the stacked matrix is i x j.
 With d = 1 and the trivial weight this is the plain Hankel matrix of the
 tail, and the i x i square matrices govern small-denominator solvability.
+
+Ranks come from one lowest-pivot echelon of the rows in walk order
+(RowEchelon): row k is row g^s(k) of block s = assign(k), so the first i
+rows are the rows of M[i, j] and growing i only appends rows.  Every
+stored row has its own lowest nonzero position, so rank M[i, j] is the
+number of pivots below j.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .errors import InsufficientPrecisionError
+from .errors import ElementCodeError
 from .field import Field
-from .linalg import RankEngine, left_null_lexmin
+from .linalg import _Basis, left_null_lexmin
 from .series import LaurentSeries, as_vector
 from .weights import GeneralizedWeight
 
-__all__ = ["HankelView", "delta_entry", "rank_profile", "left_null_vector",
-           "square_invertibility_spectrum", "default_weight"]
+__all__ = ["HankelView", "RowEchelon", "walk_row", "delta_entry", "rank_profile",
+           "left_null_vector", "square_invertibility_spectrum", "default_weight"]
 
 
 def default_weight(theta: tuple[LaurentSeries, ...],
@@ -68,12 +75,9 @@ class HankelView:
 
     def entry(self, s: int, r: int, c: int) -> int:
         """Block s (1-based), row r, column c: theta^s_{r-1+c}."""
-        heights = self.block_heights()
-        if not 1 <= s <= len(self.theta):
-            raise ValueError("block index out of range")
-        if not (1 <= r <= heights[s - 1] and 1 <= c <= self.cols):
+        if c > self.cols:
             raise ValueError("entry outside the matrix")
-        return self.theta[s - 1].frac.coefficient(r - 1 + c)
+        return delta_entry(self.theta, self.weight, s, r, c, self.rows)
 
     def stacked_rows(self) -> list[list[int]]:
         self.require_precision()
@@ -82,14 +86,6 @@ class HankelView:
             # each row of a Hankel block is a window onto the same tail
             tail = self.theta[s].frac_coeffs(h - 1 + self.cols) if self.cols else []
             out.extend(tail[r:r + self.cols] for r in range(h))
-        return out
-
-    def column(self, c: int) -> list[int]:
-        out = []
-        for s, h in enumerate(self.block_heights()):
-            coeff = self.theta[s].frac.coefficient
-            for r in range(1, h + 1):
-                out.append(coeff(r - 1 + c))
         return out
 
 
@@ -113,19 +109,15 @@ def delta_entry(theta, weight: GeneralizedWeight | None, s: int, r: int, c: int,
 
 def rank_profile(theta, weight: GeneralizedWeight | None, rows: int,
                  max_cols: int) -> list[int]:
-    """Ranks of the i x j matrices for j = 1..max_cols at fixed i = rows.
-
-    Incremental: each column is appended to an elimination basis once.
-    Monotone nondecreasing, steps of at most 1, capped at rows.
-    """
+    """Ranks of the i x j matrices for j = 1..max_cols at fixed i = rows:
+    one echelon of the rows, then a running count of pivots below j.
+    Monotone nondecreasing, steps of at most 1, capped at rows."""
     view = HankelView.of(theta, weight, rows, max_cols)
     view.require_precision()
-    engine = RankEngine(view.field)
-    ranks = []
-    for c in range(1, max_cols + 1):
-        engine.add(view.column(c))
-        ranks.append(engine.rank)
-    return ranks
+    ech = RowEchelon(view.theta, view.weight, max_cols)
+    for _ in range(rows):
+        ech.append()
+    return list(accumulate(int(j in ech.pivots) for j in range(max_cols)))
 
 
 def left_null_vector(theta, weight: GeneralizedWeight | None, rows: int,
@@ -142,18 +134,89 @@ def left_null_vector(theta, weight: GeneralizedWeight | None, rows: int,
 
 def square_invertibility_spectrum(theta, max_m: int,
                            weight: GeneralizedWeight | None = None) -> list[bool]:
-    """Whether the m x m stacked matrix is invertible, for m = 1..max_m.
+    """Whether the m x m stacked matrix is invertible, for m = 1..max_m:
+    one echelon, appending row m and counting its pivots below m.
 
     Needs tail coefficients through 2*max_m - 1 in each used coordinate.
     """
     vec = as_vector(theta)
     w = default_weight(vec, weight)
     HankelView.of(vec, w, max_m, max_m).require_precision()
-    out = []
+    ech = RowEchelon(vec, w, max_m)
+    out, below = [], 0          # below: pivots < m among the first m rows
     for m in range(1, max_m + 1):
-        view = HankelView.of(vec, w, m, m)
-        engine = RankEngine(view.field)
-        for c in range(1, m + 1):
-            engine.add(view.column(c))
-        out.append(engine.rank == m)
+        below += m - 1 in ech.pivots
+        p, _ = ech.append()
+        below += 0 <= p < m
+        out.append(below == m)
     return out
+
+
+def walk_row(weight: GeneralizedWeight, k: int) -> tuple[int, int]:
+    """Stacked row k >= 1 in walk order as (block s, 0-based; row r,
+    1-based): row g^s(k) of block s = assign(k).  The first i rows in this
+    order are exactly the rows of M[i, j]."""
+    s = weight.assign(k) - 1
+    return s, weight.eval(k)[s]
+
+
+class RowEchelon:
+    """Lowest-pivot echelon of the stacked rows in walk order, at a column
+    width that can grow.
+
+    append() adds the next row and returns its pivot (-1 when it reduces to
+    zero) and its cover: how many columns its source guarantees (None when
+    unbounded).  A row is cut at its cover, so pivots below the smallest
+    cover are exact.  widen() re-packs every row at a larger width from
+    cached tail bytes; tail codes are range-checked as they are cached."""
+
+    def __init__(self, theta: tuple[LaurentSeries, ...], weight: GeneralizedWeight,
+                 width: int):
+        self.theta = theta
+        self.weight = weight
+        self.rows: list[tuple[int, int]] = []
+        self.cover: int | None = None       # least cover over the rows
+        self._tails = [bytearray() for _ in theta]
+        self.widen(width)
+
+    @property
+    def pivots(self) -> dict[int, int]:
+        return self._basis._pivots
+
+    def widen(self, width: int) -> None:
+        self.width = width
+        self._basis = _Basis(self.theta[0].field, width)
+        for s, r in self.rows:
+            self._basis.insert(self._packed(s, r))
+
+    def full_rank_width(self, stop: int) -> int | None:
+        """Least j <= stop with full row rank, one past the top pivot,
+        doubling the width up to stop while some row lacks a pivot below
+        stop; None when no such j exists."""
+        while not (len(self.pivots) == len(self.rows) and max(self.pivots, default=-1) < stop):
+            if self.width >= stop:
+                return None
+            self.widen(min(2 * self.width, stop))
+        return max(self.pivots, default=-1) + 1
+
+    def append(self) -> tuple[int, int | None]:
+        s, r = walk_row(self.weight, len(self.rows) + 1)
+        self.rows.append((s, r))
+        g = self.theta[s].guarantee
+        cover = None if g is None else g - (r - 1)
+        if cover is not None and (self.cover is None or cover < self.cover):
+            self.cover = cover
+        return self._basis.insert(self._packed(s, r))[0], cover
+
+    def _packed(self, s: int, r: int) -> int:
+        tail = self._tails[s]
+        src = self.theta[s]
+        need = r - 1 + self.width
+        if src.guarantee is not None:
+            need = min(need, src.guarantee)
+        if need > len(tail):
+            chunk = bytes(map(src.frac.coefficient, range(len(tail) + 1, need + 1)))
+            if max(chunk) >= src.field.q:
+                raise ElementCodeError(f"tail code {max(chunk)} outside range({src.field.q})")
+            tail += chunk
+        return int.from_bytes(tail[r - 1:r - 1 + self.width], "little")

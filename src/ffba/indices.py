@@ -11,6 +11,14 @@ satisfies i_m <= j_m + ell, i_m >= i_{m-1} + ell and j_m >= j_{m-1} + ell
 on every completed stage, and j_m stays finite exactly when no row extent
 reaches a permanent rank plateau.
 
+Ranks come from one echelon of the stacked rows in walk order
+(hankel.RowEchelon), kept for the whole walk: rank M[i, j] is the number
+of pivots below j among the first i rows.  So j_m is one past the top
+pivot once all i_{m-1} rows have pivots below the scan stop, and i_m is
+reached by appending rows until ell of them add no pivot below j_m.  The
+echelon starts narrow and doubles its width up to the scan stop: j_cutoff,
+the source guarantees, or the certified period bound.
+
 A plateau is certified (j_m infinite) only when every coordinate's source
 has an eventual period: columns repeat once the scan passes the combined
 preperiod plus period, so a plateau there is permanent.  Finite sources and
@@ -23,15 +31,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 
-from .hankel import HankelView, default_weight
-from .linalg import RankEngine
-from .series import LaurentSeries, as_vector, period_bound
+from .hankel import RowEchelon, default_weight
+from .series import as_vector, period_bound
 from .weights import GeneralizedWeight
 
 __all__ = ["StageStatus", "Stage", "IndicesTrace", "indices_sequence",
            "rationality_probe", "RationalityVerdict"]
 
 DEFAULT_J_CUTOFF = 4096
+_START_WIDTH = 8        # echelon width before the first doubling
 
 
 class StageStatus(Enum):
@@ -85,19 +93,6 @@ class IndicesTrace:
                 "stages": [s.to_json() for s in self.stages]}
 
 
-def _max_scan_col(theta, weight, i: int) -> int | None:
-    """Largest column index c such that every entry of the i-row matrix at
-    column c is within its coordinate's guarantee (None = unlimited)."""
-    heights = weight.eval(i)
-    cap: int | None = None
-    for s, h in enumerate(heights):
-        g = theta[s].guarantee
-        if g is not None and h > 0:
-            c_max = g - (h - 1)
-            cap = c_max if cap is None else min(cap, c_max)
-    return cap
-
-
 def indices_sequence(theta, weight: GeneralizedWeight | None = None,
                      ell: int = 1, stage_budget: int = 8,
                      j_cutoff: int = DEFAULT_J_CUTOFF) -> IndicesTrace:
@@ -115,64 +110,44 @@ def indices_sequence(theta, weight: GeneralizedWeight | None = None,
         raise ValueError("ell must be a positive integer")
     if stage_budget < 0:
         raise ValueError("stage_budget must be nonnegative")
-    field = vec[0].field
     trace = IndicesTrace(ell=ell, weight=w, j_cutoff=j_cutoff,
                          stage_budget=stage_budget)
     trace.stages.append(Stage(0, ell, 0, StageStatus.FOUND))
+    if stage_budget == 0:
+        return trace
+    # columns repeat past the period bound; the extra i is safety margin
+    bound = period_bound(vec)
+    ech = RowEchelon(vec, w, _START_WIDTH)
+    for _ in range(ell):
+        ech.append()
     cur_i = ell
     for m in range(1, stage_budget + 1):
-        # --- column scan: least j with full row rank at extent cur_i ----
-        engine = RankEngine(field)
-        cap = _max_scan_col(vec, w, cur_i)
-        # columns repeat past the period bound; the extra i is safety margin
-        bound = period_bound(vec)
+        # --- column scan: least j with full row rank at extent cur_i.
+        # Rows are exact up to ech.cover, which the stop never exceeds.
         cert_width = None if bound is None else bound + cur_i
-        hard_cap = j_cutoff if cap is None else min(cap, j_cutoff)
-        scan_stop = hard_cap if cert_width is None else min(cert_width, hard_cap)
-        view = HankelView(vec, w, cur_i, scan_stop)
-        j_found = None
-        c = 0
-        while c < scan_stop:
-            c += 1
-            engine.add(view.column(c))
-            if engine.rank == cur_i:
-                j_found = c
-                break
+        scan_stop = min(x for x in (j_cutoff, ech.cover, cert_width) if x is not None)
+        j_found = ech.full_rank_width(scan_stop)
         if j_found is None:
-            if cert_width is not None and c >= cert_width:
-                trace.stages.append(Stage(m, cur_i, None,
-                                          StageStatus.INFINITE_CERTIFIED, c))
-            else:
-                trace.stages.append(Stage(m, cur_i, None,
-                                          StageStatus.EXHAUSTED, c))
+            c = max(scan_stop, 0)
+            status = StageStatus.INFINITE_CERTIFIED \
+                if cert_width is not None and c >= cert_width else StageStatus.EXHAUSTED
+            trace.stages.append(Stage(m, cur_i, None, status, c))
             return trace
-        # --- row scan: least i with rank deficiency ell at width j_found --
-        engine = RankEngine(field)
-        rows = [[vec[s].frac.coefficient(r - 1 + cc) for cc in range(1, j_found + 1)]
-                for s, h in enumerate(w.eval(cur_i)) for r in range(1, h + 1)]
-        for row in rows:
-            engine.add(row)
-        assert engine.rank == cur_i, "column scan must end at full row rank"
-        i = cur_i
-        i_found = None
-        while True:
+        # --- row scan: least i with rank deficiency ell at width j_found,
+        # rank M[i, j_found] being the number of pivots below j_found
+        i = rank = cur_i
+        while i - rank < ell:
             i += 1
             assert i <= j_found + ell, "row scan must stop by j + ell"
-            s_new = w.assign(i)
-            r_new = w.eval(i)[s_new - 1]
-            g = vec[s_new - 1].guarantee
-            if g is not None and r_new - 1 + j_found > g:
+            p, cover = ech.append()
+            if cover is not None and cover < j_found:
                 trace.stages.append(Stage(m, None, j_found,
                                           StageStatus.EXHAUSTED, j_found))
                 return trace
-            coeff = vec[s_new - 1].frac.coefficient
-            engine.add([coeff(r_new - 1 + cc) for cc in range(1, j_found + 1)])
-            if i - engine.rank == ell:
-                i_found = i
-                break
-        trace.stages.append(Stage(m, i_found, j_found, StageStatus.FOUND,
+            rank += 0 <= p < j_found
+        trace.stages.append(Stage(m, i, j_found, StageStatus.FOUND,
                                   scan_width=j_found))
-        cur_i = i_found
+        cur_i = i
     return trace
 
 

@@ -2,15 +2,17 @@
 
 Two layers:
 
-* an incremental echelon basis (RankEngine, and the tagged kernel behind
-  it).  Vectors are packed one byte per entry into Python ints; a row step
-  is one XOR over F_2 and one bytes.translate through a precomputed table
-  otherwise.  Entries past a data width form a tag that row steps carry
-  but pivots ignore, so a single pass yields the row combinations behind
-  each reduced vector.  On it sit the lexicographically least left
-  annihilator (left_null_lexmin, tagged with the identity) and the least
+* an incremental echelon basis (_Basis, with RankEngine as a small public
+  face).  Vectors are packed one byte per entry into Python ints; a row
+  step is one XOR over F_2 and one bytes.translate through a precomputed
+  table otherwise.  Entries past a data width form a tag that row steps
+  carry but pivots ignore, so a single pass yields the row combinations
+  behind each reduced vector.  On it sit the lexicographically least left
+  annihilator (left_null_lexmin, tagged with the identity), the least
   solvable column count of every row prefix (least_solvable_columns,
-  tagged with the right-hand side).  Appends never rescan earlier vectors.
+  tagged with the right-hand side) and hankel.RowEchelon, whose pivots
+  give every rank of the rank walk and the square spectrum.  Appends never
+  rescan earlier vectors.
 * dense helpers -- RREF, solving, rank and null spaces, used where a
   particular solution or a whole null space basis is needed.
 

@@ -59,6 +59,11 @@ class CoefficientSource:
         or None when no eventual period is certified."""
         return None
 
+    def listed_codes(self) -> tuple[int, ...]:
+        """The codes the source holds verbatim; a series checks them
+        against its field when it is built."""
+        return ()
+
     def require(self, i: int) -> None:
         g = self.guarantee
         if g is not None and i > g:
@@ -84,6 +89,9 @@ class FiniteSource(CoefficientSource):
     @property
     def guarantee(self) -> int | None:
         return len(self.codes)
+
+    def listed_codes(self) -> tuple[int, ...]:
+        return self.codes
 
     def to_json(self) -> dict:
         return {"kind": "finite", "coeffs": list(self.codes)}
@@ -113,6 +121,9 @@ class PeriodicSource(CoefficientSource):
 
     def period_info(self) -> tuple[int, int]:
         return (len(self.pre), len(self.per))
+
+    def listed_codes(self) -> tuple[int, ...]:
+        return self.pre + self.per
 
     def to_json(self) -> dict:
         return {"kind": "periodic", "pre": list(self.pre), "per": list(self.per)}
@@ -250,6 +261,8 @@ class LaurentSeries:
     def __init__(self, field: Field, poly_part: Poly, frac: CoefficientSource):
         if poly_part.field != field:
             raise ValueError("poly part over a different field")
+        for c in frac.listed_codes():
+            field.check(c)
         self.field = field
         self.poly_part = poly_part
         self.frac = frac
@@ -268,7 +281,6 @@ class LaurentSeries:
         tail="finite" keeps the truncation honest (errors past the data);
         tail="zero" declares the series exactly equal to the finite sum.
         """
-        codes = tuple(field.check(c) for c in codes)
         if tail == "finite":
             src: CoefficientSource = FiniteSource(codes)
         elif tail == "zero":

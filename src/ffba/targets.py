@@ -15,6 +15,7 @@ the valid extensions and is reproducible from the seed.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -23,7 +24,7 @@ from .cantor import ConstructionSchedule, CylinderSet, as_schedule
 from .errors import (BudgetExhaustedError, CertificateFormatError,
                      TooLargeToEnumerateError)
 from .field import Field
-from .hankel import HankelView, default_weight, left_null_vector
+from .hankel import HankelView, default_weight, left_null_vector, walk_row
 from .indices import (DEFAULT_J_CUTOFF, IndicesTrace, Stage, StageStatus,
                       indices_sequence)
 from .linalg import least_solvable_columns
@@ -124,7 +125,7 @@ class Certificate:
         try:
             weight = GeneralizedWeight.from_json(_need(obj, "weight", dict))
             theta = tuple(series_from_json(t, field) for t in _need(obj, "theta", list))
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise CertificateFormatError(f"malformed theta or weight: {exc!r}") from exc
         if not d == weight.d == len(theta):
             raise CertificateFormatError(f"d={d} disagrees with the weight or theta")
@@ -299,8 +300,12 @@ def gamma_prefix(theta, weight: GeneralizedWeight | None = None,
 
 @dataclass
 class CertificateReport:
+    """ok: every check passed.  partial: a column cap left some stage's
+    no-solution check short of its claimed width."""
+
     ok: bool
     checks: list[tuple[str, bool, str]]
+    partial: bool = False
 
     def failed(self) -> list[tuple[str, bool, str]]:
         return [c for c in self.checks if not c[1]]
@@ -390,23 +395,19 @@ def verify_certificate(cert: Certificate, j_cap: int | None = None) -> Certifica
             rebuilt[s].extend(st.new_digits[s])
     add("prefix_matches_stages",
         tuple(tuple(x) for x in rebuilt) == cert.gamma_digits, "")
-    return CertificateReport(all(c[1] for c in checks), checks)
+    return CertificateReport(all(c[1] for c in checks), checks,
+                             partial=any(cap < st.width for st, cap in zip(stages, caps)))
 
 
 def _least_solvable(cert: Certificate, n: int, width: int) -> list[int | None]:
     """least_solvable_columns over the first n rows of the certificate's
-    matrix at the given width, in walk order: row k (1-based) is row
-    g^s(k) of block s = weight.assign(k), so for every i <= n the first i
-    rows are exactly the rows of M[i, width]."""
+    matrix at the given width, in walk order (hankel.walk_row), so for
+    every i <= n the first i rows are exactly the rows of M[i, width]."""
     w = cert.weight
     rows = HankelView.of(cert.theta, w, n, width).stacked_rows()
     pi = cert.gamma_stacked(n)
-    cursor = list(w.offsets(n))     # next stacked row of each block
-    order = []
-    for k in range(1, n + 1):
-        s = w.assign(k) - 1
-        order.append(cursor[s])
-        cursor[s] += 1
+    offsets = w.offsets(n)
+    order = [offsets[s] + r - 1 for s, r in (walk_row(w, k) for k in range(1, n + 1))]
     return least_solvable_columns(cert.field, [rows[o] for o in order],
                                   [pi[o] for o in order], width)
 
@@ -440,18 +441,8 @@ def extension_counts(cert: Certificate, m: int,
             cert.weight.eval(prev_i), cert.weight.eval(st.i), cert.gamma_digits)
         fixed = f.dot(st.b, known)
         b_new = [st.b[pos] for pos in new_positions]
-        count = 0
-        u = [0] * gap
-        while True:
-            if f.add(fixed, f.dot(b_new, u)) == 0:
-                count += 1
-            k = gap - 1
-            while k >= 0 and u[k] == q - 1:
-                u[k] = 0
-                k -= 1
-            if k < 0:
-                break
-            u[k] += 1
+        count = sum(f.add(fixed, f.dot(b_new, u)) == 0
+                    for u in itertools.product(range(q), repeat=gap))
         if count != excluded:
             raise AssertionError(
                 f"stage {m}: enumeration found {count} excluded extensions, "
@@ -486,25 +477,12 @@ def survivor_cylinders(cert: Certificate, stage_count: int | None = None,
         g_now = w.eval(st.i)
         g_prev = w.eval(prev_i)
         gaps = [g_now[s] - g_prev[s] for s in range(cert.d)]
-        new_blocks = []
-        for blk in blocks:
-            exts = [blk]
-            for s in range(cert.d):
-                widened = []
-                for partial in exts:
-                    stem = partial[s]
-                    tails = [()]
-                    for _ in range(gaps[s]):
-                        tails = [t + (c,) for t in tails for c in range(q)]
-                    for t in tails:
-                        nxt = list(partial)
-                        nxt[s] = stem + t
-                        widened.append(tuple(nxt))
-                exts = widened
-            for cand in exts:
-                if f.dot(st.b, [c for s in range(cert.d) for c in cand[s]]):
-                    new_blocks.append(cand)
-        blocks = new_blocks
+        # every block extended by every tail of the stage's new digits
+        tails = list(itertools.product(*(itertools.product(range(q), repeat=g)
+                                         for g in gaps)))
+        blocks = [cand for blk in blocks for cand in
+                  (tuple(map(tuple.__add__, blk, t)) for t in tails)
+                  if f.dot(st.b, [c for part in cand for c in part])]
         out.append(CylinderSet(tuple(g_now),
                                frozenset(tuple(c for s in range(cert.d)
                                                for c in blk[s])

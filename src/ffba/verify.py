@@ -60,6 +60,8 @@ class _Coord:
 def _coord_contexts(vec: tuple[LaurentSeries, ...],
                     gvec: tuple[LaurentSeries, ...],
                     max_deg: int, prec: int | None) -> list[_Coord]:
+    if max_deg < 0:
+        raise ValueError(f"degree bound {max_deg} must be nonnegative")
     out: list[_Coord] = []
     for s, (th_s, gm_s) in enumerate(zip(vec, gvec)):
         zero_width = period_bound((th_s, gm_s))
@@ -295,12 +297,8 @@ def merge_reports(*reports: DepthBoundedConstant) -> DepthBoundedConstant:
             raise ValueError(
                 f"degree windows [{prev.deg_lo},{prev.deg_hi}] and "
                 f"[{nxt.deg_lo},{nxt.deg_hi}] do not tile contiguously")
-    best = None
-    for r in parts:
-        if r.value is None:
-            continue
-        if best is None or r.value < best.value:
-            best = r
+    best = min((r for r in parts if r.value is not None), key=lambda r: r.value,
+               default=None)
     return DepthBoundedConstant(
         value=best.value if best else None,
         witness=best.witness if best else None,
@@ -350,23 +348,13 @@ def matrix_condition_check(theta, gamma,
     h = n.deg
     big = h + 1 + ell
     g_big = w.eval(big)
-    series_ok = True
-    for s in range(w.d):
-        need = g_big[s]
-        if need == 0:
-            continue
-        left = poly_times_series_frac(n, vec[s], need)
-        right = gvec[s].frac_coeffs(need)
-        if left != right:
-            series_ok = False
-            break
+    series_ok = all(poly_times_series_frac(n, vec[s], need) == gvec[s].frac_coeffs(need)
+                    for s, need in enumerate(g_big) if need)
     view = HankelView.of(vec, w, big, h + 1)
     rows = view.stacked_rows()
     field = vec[0].field
     nvec = [n.coefficient(k) for k in range(h + 1)]
-    pi: list[int] = []
-    for s in range(w.d):
-        pi.extend(gvec[s].frac_coeffs(g_big[s]))
+    pi = [c for s, need in enumerate(g_big) for c in gvec[s].frac_coeffs(need)]
     matrix_ok = all(field.dot(row, nvec) == p for row, p in zip(rows, pi))
     return MatrixConditionReport(series_ok, matrix_ok)
 
@@ -419,11 +407,7 @@ def find_witness_small(theta: LaurentSeries, gamma: LaurentSeries,
         try:
             ctx = _coord_contexts(vec, (gam,), witness.deg, None)[0]
             tail = poly_times_series_frac(witness, vec[0], ctx.cap)
-            i0 = 0
-            for i in range(ctx.cap):
-                if tail[i] != ctx.gam[i]:
-                    i0 = i + 1
-                    break
+            i0 = next((i + 1 for i in range(ctx.cap) if tail[i] != ctx.gam[i]), 0)
             if i0:
                 value = qexp(witness.deg - i0)
                 exact = True
@@ -600,9 +584,7 @@ def compare_weighted_constants(theta, gamma, r, max_deg: int,
     rfracs = w.real
 
     def exponents(h: int):
-        real = tuple(rs * h for rs in rfracs)
-        induced = w.eval(h)
-        return (real, induced)
+        return tuple(rs * h for rs in rfracs), w.eval(h)
 
     best, _bd, _bdep, skipped, zero_digits = _scan_range(
         field, contexts, 0, max_deg, exponents)

@@ -17,6 +17,7 @@ weight stays within fixed distance of the line r*h:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 __all__ = ["GeneralizedWeight", "parse_real_weight", "parse_weight",
@@ -124,13 +125,7 @@ class GeneralizedWeight:
 
     def offsets(self, h: int) -> tuple[int, ...]:
         """Stacked block offsets: offset_s = sum of g^{s'}(h) for s' < s."""
-        g = self.eval(h)
-        out = []
-        acc = 0
-        for v in g:
-            out.append(acc)
-            acc += v
-        return tuple(out)
+        return tuple(accumulate(self.eval(h)[:-1], initial=0))
 
     # --- serialization ----------------------------------------------------
 

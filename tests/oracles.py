@@ -256,6 +256,59 @@ def left_null_lexmin_rref(f, rows, nrows):
     return red[max(range(len(pivots)), key=lambda r: pivots[r])]
 
 
+def stacked_matrix(coeff, heights, i, j):
+    """The i x j stacked matrix: block s has heights(i)[s] rows, and row r,
+    column c (1-based) of block s holds coeff(s, r - 1 + c)."""
+    return [[coeff(s, r - 1 + c) for c in range(1, j + 1)]
+            for s, h in enumerate(heights(i)) for r in range(1, h + 1)]
+
+
+def rank_walk_column_rescan(f, coeff, guarantees, heights, assign, ell,
+                            stage_budget, j_cutoff, period_bound):
+    """The alternating rank walk by the slow route: each stage rescans
+    columns from c = 1 with a fresh dense rank per candidate matrix.
+
+    coeff(s, n) is tail coefficient n of coordinate s (0-based); guarantees
+    holds each coordinate's largest served index (None = unbounded);
+    heights(i) and assign(i) describe the weight; period_bound is the index
+    past which every tail repeats with a common period (None = unknown).
+    Stages are (m, i, j, status, scan_width) with the status strings
+    "found", "infinite_certified" and "exhausted_at_cutoff"."""
+    stages = [(0, ell, 0, "found", 0)]
+    cur_i = ell
+    for m in range(1, stage_budget + 1):
+        stops = [j_cutoff]
+        for s, h in enumerate(heights(cur_i)):
+            if h > 0 and guarantees[s] is not None:
+                stops.append(guarantees[s] - (h - 1))
+        cert_width = None if period_bound is None else period_bound + cur_i
+        if cert_width is not None:
+            stops.append(cert_width)
+        stop = min(stops)
+        j = next((c for c in range(1, stop + 1)
+                  if dense_rank(f, stacked_matrix(coeff, heights, cur_i, c)) == cur_i),
+                 None)
+        if j is None:
+            c = max(stop, 0)
+            certified = cert_width is not None and c >= cert_width
+            stages.append((m, cur_i, None, "infinite_certified" if certified
+                           else "exhausted_at_cutoff", c))
+            return stages
+        i = cur_i
+        while True:
+            i += 1
+            s = assign(i) - 1
+            r = heights(i)[s]
+            if guarantees[s] is not None and r - 1 + j > guarantees[s]:
+                stages.append((m, None, j, "exhausted_at_cutoff", j))
+                return stages
+            if i - dense_rank(f, stacked_matrix(coeff, heights, i, j)) == ell:
+                break
+        stages.append((m, i, j, "found", j))
+        cur_i = i
+    return stages
+
+
 def left_annihilators(f, rows):
     """All nonzero b with b . column = 0 for every column, by enumeration.
 

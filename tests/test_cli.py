@@ -264,6 +264,33 @@ def test_usage_errors_exit_one(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["hankel", "--q", "2", "--theta", "frac=[5,1,0,1]", "--rows", "2", "--cols", "2"],
+    ["measure", "--q", "1", "--ell", "1", "--stages", "2"],
+    ["dimension", "--q", "1", "--ell", "2"],
+    ["verify", "--q", "2", "--theta", THETA, "--gamma", GAMMA, "--max-deg", "-3"],
+])
+def test_out_of_range_input_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("ffba: error:") and "Traceback" not in err
+
+
+def test_certificate_check_reports_partial_coverage(tmp_path, capsys):
+    code, doc = run_json(capsys, "gamma", "--q", "2", "--theta", THETA,
+                         "--ell", "1")
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_json(capsys, "certificate-check", "--file", str(path))
+    assert code == EXIT_OK and out["ok"] is True and out["partial"] is False
+    code, out = run_json(capsys, "certificate-check", "--file", str(path),
+                         "--j-cap", "1")
+    assert code == EXIT_OK and out["ok"] is True and out["partial"] is True
+    code, text, _ = run(capsys, "certificate-check", "--file", str(path),
+                        "--j-cap", "1")
+    assert "partial: true" in text.splitlines()
+
+
 def test_argparse_usage_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gamma", "--q", "2", "--theta", THETA])   # missing --ell

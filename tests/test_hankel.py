@@ -6,13 +6,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ffba import (Field, GeneralizedWeight, Poly, expand_rational,
-                  parse_series, square_invertibility_spectrum)
+from ffba import (Field, GeneralizedWeight, LaurentSeries, Poly, expand_rational,
+                  parse_series, parse_weight, square_invertibility_spectrum)
 from ffba.hankel import (HankelView, delta_entry, left_null_vector,
                          rank_profile)
 
-from oracles import OracleField, dense_rank, left_annihilators
+from oracles import OracleField, dense_rank, left_annihilators, stacked_matrix
 
 
 def _random_series(rng, f, depth):
@@ -68,7 +69,6 @@ def test_stacked_view_interleaves_blocks():
     assert rows[1] == [a.frac.coefficient(2), a.frac.coefficient(3)]
     assert rows[2] == [b.frac.coefficient(1), b.frac.coefficient(2)]
     assert rows[3] == [b.frac.coefficient(2), b.frac.coefficient(3)]
-    assert view.column(2) == [r[1] for r in rows]
     assert view.entry(2, 1, 2) == b.frac.coefficient(2)
 
 
@@ -193,3 +193,42 @@ def test_spectrum_next_digit_count():
                     continue
                 good = [d3 for d3 in range(q) if inv([d1, d2, d3], 2)]
                 assert len(good) == q - 1, (q, d1, d2)
+
+
+# ---------------------------------------------------------------------------
+# echelon ranks against dense elimination
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _stacked_inputs(draw, max_rows=10):
+    """theta over q in {2, 3, 4, 9} with d in {1, 2} under the trivial,
+    equal or r:1/3,2/3 weight; zero-leaning digits, enough of them for a
+    max_rows x max_rows matrix."""
+    f = Field.of_order(draw(st.sampled_from([2, 3, 4, 9])))
+    d = draw(st.sampled_from([1, 2]))
+    code = st.sampled_from([0, 0] + list(range(1, f.q)))
+    theta = tuple(LaurentSeries.from_frac_coeffs(
+        f, draw(st.lists(code, min_size=2 * max_rows, max_size=2 * max_rows)))
+        for _ in range(d))
+    weight = parse_weight(draw(st.sampled_from(["equal", "r:1/3,2/3"])), 2) \
+        if d == 2 else GeneralizedWeight.one_dim()
+    of = OracleField(f.p, f.k, list(f.modulus) if f.k > 1 else None)
+    return of, theta, weight, lambda s, n: theta[s].frac.coefficient(n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_stacked_inputs(), st.integers(0, 10), st.integers(0, 10))
+def test_rank_profile_matches_dense_rank(case, rows, cols):
+    of, theta, weight, coeff = case
+    prof = rank_profile(theta, weight, rows, cols)
+    assert prof == [dense_rank(of, stacked_matrix(coeff, weight.eval, rows, j))
+                    for j in range(1, cols + 1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_stacked_inputs(), st.integers(0, 10))
+def test_spectrum_matches_dense_rank_stacked(case, max_m):
+    of, theta, weight, coeff = case
+    spec = square_invertibility_spectrum(theta, max_m, weight)
+    assert spec == [dense_rank(of, stacked_matrix(coeff, weight.eval, m, m)) == m
+                    for m in range(1, max_m + 1)]

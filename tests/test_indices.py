@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import json
 import random
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ffba import (Field, GeneralizedWeight, Poly, expand_rational,
-                  indices_sequence, parse_series, rationality_probe)
+from ffba import (Field, GeneralizedWeight, LaurentSeries, PeriodicSource, Poly,
+                  RuleSource, expand_rational, indices_sequence, parse_series,
+                  parse_weight, rationality_probe)
 from ffba.indices import StageStatus
 
-from oracles import OracleField, dense_rank
+from oracles import OracleField, dense_rank, rank_walk_column_rescan
 
 
 def _series(f, digits):
@@ -181,3 +184,99 @@ def test_stage_budget_caps_found_stages():
     for budget in (1, 2, 4):
         tr = indices_sequence(th, ell=1, stage_budget=budget)
         assert len(tr.stages) <= budget + 1
+
+
+# ---------------------------------------------------------------------------
+# the echelon walk against the column-rescan oracle
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _walk_inputs(draw):
+    """theta over q in {2, 3, 4, 9}, d in {1, 2}, each coordinate a finite
+    window (its guarantee cuts the scan), an eventually periodic tail (the
+    walk can certify a plateau) or a rule without a declared period (only
+    j_cutoff stops it, so the cutoff is kept small).  Digits lean towards 0
+    so that rank deficiencies, and hence wide scans, are common."""
+    f = Field.of_order(draw(st.sampled_from([2, 3, 4, 9])))
+    d = draw(st.sampled_from([1, 2]))
+    code = st.sampled_from([0, 0, 0] + list(range(1, f.q)))
+
+    def digits(lo: int, hi: int) -> list[int]:
+        n = draw(st.integers(lo, hi))
+        return draw(st.lists(code, min_size=n, max_size=n))
+
+    kinds = ["finite", "periodic", "rule"]
+    shared = draw(st.sampled_from(kinds + [None]))   # None: mixed coordinates
+    theta, bounds = [], []
+    for _ in range(d):
+        kind = shared or draw(st.sampled_from(kinds))
+        if kind == "finite":
+            theta.append(LaurentSeries.from_frac_coeffs(
+                f, digits(0, 60), tail="finite"))
+            bounds.append(None)
+        elif kind == "periodic":
+            pre, per = digits(0, 4), digits(1, 4)
+            theta.append(LaurentSeries(f, Poly.zero(f), PeriodicSource(pre, per)))
+            bounds.append((len(pre), len(per)))
+        else:
+            theta.append(LaurentSeries(f, Poly.zero(f), RuleSource(
+                "drawn", lambda i, ds=digits(1, 60): ds[(i - 1) % len(ds)])))
+            bounds.append(None)
+    weight = parse_weight(draw(st.sampled_from(["equal", "r:1/3,2/3"])), 2) \
+        if d == 2 else GeneralizedWeight.one_dim()
+    if any(th.guarantee is None for th, b in zip(theta, bounds) if b is None):
+        j_cutoff = draw(st.integers(1, 40))
+    else:
+        j_cutoff = draw(st.sampled_from([4096, 1, 2, 5, 9, 17, 30]))
+    bound = None if None in bounds else \
+        max(a for a, _ in bounds) + lcm(*(p for _, p in bounds))
+    return (f, tuple(theta), weight, draw(st.sampled_from([1, 2])),
+            draw(st.integers(0, 8)), j_cutoff, bound)
+
+
+def _walk_and_oracle(f, theta, weight, ell, budget, j_cutoff, bound):
+    tr = indices_sequence(theta, weight, ell, budget, j_cutoff)
+    of = OracleField(f.p, f.k, list(f.modulus) if f.k > 1 else None)
+    want = rank_walk_column_rescan(
+        of, lambda s, n: theta[s].frac.coefficient(n),
+        [th.guarantee for th in theta], weight.eval, weight.assign,
+        ell, budget, j_cutoff, bound)
+    return [(s.m, s.i, s.j, s.status.value, s.scan_width) for s in tr.stages], want
+
+
+@settings(max_examples=250, deadline=None)
+@given(_walk_inputs())
+def test_walk_matches_column_rescan_oracle(case):
+    got, want = _walk_and_oracle(*case)
+    assert got == want
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_walk_matches_oracle_on_finite_windows(q):
+    """Dense random windows end the walk both ways: the column scan reaches
+    the guarantee, or a new row of the row scan would pass it."""
+    f = Field.of_order(q)
+    rng = random.Random(300 + q)
+    ends = set()
+    for _ in range(30):
+        d, ell = rng.choice([1, 2]), rng.choice([1, 2])
+        theta = tuple(LaurentSeries.from_frac_coeffs(
+            f, [rng.randrange(q) for _ in range(rng.randrange(10, 40))])
+            for _ in range(d))
+        weight = parse_weight(rng.choice(["equal", "r:1/3,2/3"]), 2) if d == 2 \
+            else GeneralizedWeight.one_dim()
+        got, want = _walk_and_oracle(f, theta, weight, ell, 12, 4096, None)
+        assert got == want
+        ends.add((got[-1][3], got[-1][1] is None))
+    assert {("exhausted_at_cutoff", False), ("exhausted_at_cutoff", True)} <= ends
+
+
+def test_walk_widens_to_the_cutoff():
+    """All-zero digits never reach full row rank: the echelon doubles its
+    width up to j_cutoff and the stage reports exactly that width."""
+    f = Field(2)
+    zeros = LaurentSeries(f, Poly.zero(f), RuleSource("zeros", lambda i: 0))
+    for cutoff in (1, 7, 8, 9, 33, 100):
+        tr = indices_sequence(zeros, ell=1, j_cutoff=cutoff)
+        assert [(s.m, s.i, s.j, s.status, s.scan_width) for s in tr.stages] == \
+            [(0, 1, 0, StageStatus.FOUND, 0), (1, 1, None, StageStatus.EXHAUSTED, cutoff)]

@@ -9,10 +9,11 @@ import pytest
 from ffba import (Field, LaurentSeries, Poly, ZERO, expand_rational, frac_abs,
                   parse_series, poly_times_series_frac, qexp, rule_source,
                   series_from_json, series_roundtrip_check, series_to_text)
-from ffba.errors import InsufficientPrecisionError
+from ffba import indices_sequence
+from ffba.errors import ElementCodeError, FfbaError, InsufficientPrecisionError
 from ffba.qval import BelowLimit
 from ffba.series import (FiniteSource, PeriodicSource, RationalSource,
-                         as_vector)
+                         RuleSource, as_vector)
 from oracles import OracleField, rational_expansion
 
 
@@ -97,6 +98,33 @@ def test_periodic_source_coefficients():
     assert [src.coefficient(i) for i in range(1, 8)] == [1, 0, 2, 0, 2, 0, 2]
     assert src.period_info() == (1, 2)
     assert src.guarantee is None
+
+
+@pytest.mark.parametrize("text", ["frac=[5,1,0,1]", "frac=finite:[1,2]",
+                                  "frac=periodic:[1]|[0,3]", "frac=periodic:[-1]|[0]",
+                                  "frac=rational:[1]/[0,2]", "poly=[4]; frac=[1]"])
+def test_codes_outside_the_field_are_rejected(text):
+    with pytest.raises(ElementCodeError) as exc:
+        parse_series(text, Field(2))
+    assert isinstance(exc.value, FfbaError)
+
+
+def test_sources_check_codes_when_a_series_is_built():
+    f = Field.of_order(3)
+    for src in (FiniteSource([0, 3]), PeriodicSource([], [1, 5])):
+        with pytest.raises(ElementCodeError):
+            LaurentSeries(f, Poly.zero(f), src)
+    with pytest.raises(ElementCodeError):
+        LaurentSeries.from_frac_coeffs(f, [1, 2, 9], tail="zero")
+
+
+def test_rule_codes_are_checked_before_elimination():
+    """A rule's codes are only known when pulled; the echelon checks them
+    as it caches tails, instead of eliminating over codes outside F_q."""
+    f = Field.of_order(2)
+    th = LaurentSeries(f, Poly.zero(f), RuleSource("bad", lambda i: 2 * (i == 3)))
+    with pytest.raises(ElementCodeError):
+        indices_sequence(th, ell=1)
 
 
 def test_rule_source_liminf_positions():

@@ -13,6 +13,7 @@ from ffba import (Field, GeneralizedWeight, c_depth, extension_counts,
                   gamma_prefix, indices_sequence, measure_after_stages,
                   parse_series, parse_weight, qexp, schedule_from_certificate,
                   survivor_cylinders, validate_tree_like, verify_certificate)
+from ffba.errors import CertificateFormatError
 from ffba.hankel import HankelView
 from ffba.targets import Certificate
 
@@ -232,6 +233,24 @@ def test_verify_least_solvable_column_matches_dense_scan(q, d, weight):
                     (want is None, "" if want is None else f"solvable at j={want}")
                 solvable_seen += want is not None
     assert solvable_seen
+
+
+def test_j_cap_below_a_width_marks_the_report_partial():
+    th = parse_series("frac=rule:liminf", Field(2))
+    cert = gamma_prefix(th, ell=1, stage_budget=4)
+    widths = [st.width for st in cert.stages]
+    assert not verify_certificate(cert).partial
+    assert not verify_certificate(cert, j_cap=max(widths)).partial
+    rep = verify_certificate(cert, j_cap=max(widths) - 1)
+    assert rep.ok and rep.partial
+
+
+def test_theta_codes_outside_the_field_are_malformed():
+    _, cert = _worked()
+    doc = cert.to_json()
+    doc["theta"][0]["frac"]["pre"] = [0, 2]
+    with pytest.raises(CertificateFormatError):
+        Certificate.from_json(doc)
 
 
 # ---------------------------------------------------------------------------
