@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .errors import ElementCodeError
 from .field import Field
 from .linalg import _Basis, left_null_lexmin
 from .series import LaurentSeries, as_vector
@@ -215,8 +214,5 @@ class RowEchelon:
         if src.guarantee is not None:
             need = min(need, src.guarantee)
         if need > len(tail):
-            chunk = bytes(map(src.frac.coefficient, range(len(tail) + 1, need + 1)))
-            if max(chunk) >= src.field.q:
-                raise ElementCodeError(f"tail code {max(chunk)} outside range({src.field.q})")
-            tail += chunk
+            tail += src.frac_bytes(need, len(tail) + 1)
         return int.from_bytes(tail[r - 1:r - 1 + self.width], "little")

@@ -39,6 +39,9 @@ __all__ = ["StageStatus", "Stage", "IndicesTrace", "indices_sequence",
            "rationality_probe", "RationalityVerdict"]
 
 DEFAULT_J_CUTOFF = 4096
+# No walk scans past this many columns, so no certificate claims a wider
+# stage, and the verifier refuses wider ones before allocating rows.
+MAX_J_CUTOFF = 1 << 17
 _START_WIDTH = 8        # echelon width before the first doubling
 
 
@@ -110,6 +113,8 @@ def indices_sequence(theta, weight: GeneralizedWeight | None = None,
         raise ValueError("ell must be a positive integer")
     if stage_budget < 0:
         raise ValueError("stage_budget must be nonnegative")
+    if j_cutoff > MAX_J_CUTOFF:
+        raise ValueError(f"j_cutoff {j_cutoff} exceeds the supported {MAX_J_CUTOFF}")
     trace = IndicesTrace(ell=ell, weight=w, j_cutoff=j_cutoff,
                          stage_budget=stage_budget)
     trace.stages.append(Stage(0, ell, 0, StageStatus.FOUND))

@@ -75,12 +75,30 @@ class _Basis:
                 v ^= row
             elif steps is None:
                 v = self._slow_step(v, row, (v >> (p << 3)) & 255)
-            else:
+            else:       # sub_multiple, inlined: this loop is the hot path
                 w = v * q + row
                 v = int.from_bytes(w.to_bytes((w.bit_length() + 7) >> 3, "little")
                                    .translate(steps[(v >> (p << 3)) & 255]), "little")
             d = v & mask
         return -1, v
+
+    def sub_multiple(self, v: int, row: int, c: int) -> int:
+        """v - c*row, entry by entry."""
+        q = self._field.q
+        if q == 2:
+            return v ^ row if c else v
+        if self._steps is None:
+            return self._slow_step(v, row, c)
+        w = v * q + row
+        return int.from_bytes(w.to_bytes((w.bit_length() + 7) >> 3, "little")
+                              .translate(self._steps[c]), "little")
+
+    def truncate(self, rank: int) -> None:
+        """Forget all but the first `rank` stored vectors (later inserts
+        never change earlier ones, and dicts keep insertion order)."""
+        while self.rank > rank:
+            self._pivots.popitem()
+            self.rank -= 1
 
     def insert(self, v: int) -> tuple[int, int]:
         """Reduce v and store it when its data part survives.  Returns the

@@ -302,6 +302,15 @@ class LaurentSeries:
     def frac_coeffs(self, count: int) -> list[int]:
         return [self.frac.coefficient(i) for i in range(1, count + 1)]
 
+    def frac_bytes(self, stop: int, start: int = 1) -> bytes:
+        """Tail codes start..stop as bytes.  Listed codes were checked when
+        the series was built; a rule's codes are checked here, so a code
+        outside range(q) raises ElementCodeError."""
+        codes = [self.frac.coefficient(i) for i in range(start, stop + 1)]
+        if codes and not 0 <= min(codes) <= max(codes) < self.field.q:
+            self.field.check(next(c for c in codes if not 0 <= c < self.field.q))
+        return bytes(codes)
+
     def abs_qval(self, search_limit: int = 64):
         """|theta| = q^{deg theta}; falls back to the tail scan when the
         polynomial part vanishes."""

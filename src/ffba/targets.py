@@ -25,8 +25,8 @@ from .errors import (BudgetExhaustedError, CertificateFormatError,
                      TooLargeToEnumerateError)
 from .field import Field
 from .hankel import HankelView, default_weight, left_null_vector, walk_row
-from .indices import (DEFAULT_J_CUTOFF, IndicesTrace, Stage, StageStatus,
-                      indices_sequence)
+from .indices import (DEFAULT_J_CUTOFF, MAX_J_CUTOFF, IndicesTrace, Stage,
+                      StageStatus, indices_sequence)
 from .linalg import least_solvable_columns
 from .series import LaurentSeries, as_vector, period_bound, series_from_json
 from .weights import GeneralizedWeight
@@ -146,7 +146,7 @@ class Certificate:
         stages = [CertStage(m=_need(st, "m"), i=_need(st, "i", lo=0),
                             j_next=_need(st, "j", (int, type(None))),
                             status=_need(st, "status", str),
-                            width=_need(st, "width", lo=0),
+                            width=_need(st, "width", lo=0, hi=MAX_J_CUTOFF),
                             b=codes(_need(st, "b", list), "b"),
                             new_digits=per_coord(_need(st, "gamma_digits", list),
                                                  "gamma_digits"))
@@ -159,14 +159,14 @@ class Certificate:
                    policy=_need(obj, "policy", str) if "policy" in obj else "lexmin")
 
 
-def _need(doc, key: str, kind=int, lo: int | None = None):
+def _need(doc, key: str, kind=int, lo: int | None = None, hi: int | None = None):
     """doc[key], which must be present, of the given type (a bool is no
-    int) and, when lo is given, at least lo."""
+    int) and within lo..hi where they are given."""
     if not isinstance(doc, dict) or key not in doc:
         raise CertificateFormatError(f"certificate field {key!r} is missing")
     value = doc[key]
     wrong_type = not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool)
-    if wrong_type or (lo is not None and value < lo):
+    if wrong_type or (lo is not None and value < lo) or (hi is not None and value > hi):
         raise CertificateFormatError(f"certificate field {key!r} is malformed")
     return value
 
@@ -329,9 +329,11 @@ def verify_certificate(cert: Certificate, j_cap: int | None = None) -> Certifica
     w = cert.weight
     field = cert.field
     stages = cert.stages
-    heights = [w.eval(st.i) for st in stages]
-    shaped = [len(st.b) == st.i and all(len(cert.gamma_digits[s]) >= h
-                                        for s, h in enumerate(g))
+    # b's length bounds i before the weight is evaluated at i, and widths
+    # past MAX_J_CUTOFF are refused before any row is built
+    heights = [w.eval(st.i) if len(st.b) == st.i else None for st in stages]
+    shaped = [g is not None and st.width <= MAX_J_CUTOFF
+              and all(len(cert.gamma_digits[s]) >= h for s, h in enumerate(g))
               for st, g in zip(stages, heights)]
     caps = [st.width if j_cap is None else max(0, min(st.width, j_cap))
             for st in stages]
@@ -354,12 +356,13 @@ def verify_certificate(cert: Certificate, j_cap: int | None = None) -> Certifica
         add(f"{tag}_monotone", st.i >= prev_i and st.width >= prev_width,
             f"i={st.i}, width {st.width} after i={prev_i}, width {prev_width}")
         add(f"{tag}_digit_shape",
-            all(len(st.new_digits[s]) == g_now[s] - g_prev[s]
-                for s in range(cert.d)),
-            f"extents {list(g_prev)} -> {g_now}")
+            None not in (g_prev, g_now) and all(
+                len(st.new_digits[s]) == g_now[s] - g_prev[s] for s in range(cert.d)),
+            f"extents {list(g_prev or ())} -> {g_now}")
         add(f"{tag}_row_shape", shape_ok,
-            f"{len(st.b)} annihilator entries for row extent {st.i}")
-        if shape_ok:
+            f"{len(st.b)} annihilator entries for row extent {st.i}"
+            + (f", width {st.width} past {MAX_J_CUTOFF}" if st.width > MAX_J_CUTOFF else ""))
+        if shape_ok and g_prev is not None:
             # the remaining checks index by the claimed extent
             if st.j_next is not None:
                 add(f"{tag}_width_matches_j", st.width == st.j_next - 1,

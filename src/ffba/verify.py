@@ -11,12 +11,22 @@ to finite data is a per-coordinate scan cap, and the report says whether
 any candidate had to be excluded because its difference stream vanished
 beyond what the inputs could certify.
 
+The minimum is found by linear algebra, not by enumerating the
+q^h (q - 1) candidates of each degree h: a degree-h N matches the first k
+digits of gamma exactly when M[k, h+1] n = pi_k(gamma) has a solution with
+n_h != 0.  Per degree a target exponent descends while one echelon of
+these rows stays solvable; the witness is the least point of the last
+affine solution set, and skipped candidates are counted exactly by
+inclusion-exclusion over such sets.  The enumeration it replaced lives on
+as the test oracle tests/oracles.odometer_scan.
+
 Only fractional parts matter throughout: N times the polynomial part of
 theta is itself a polynomial and drops out of <.>, as does gamma's.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -24,7 +34,7 @@ from typing import NamedTuple
 from .errors import InsufficientPrecisionError
 from .field import Field
 from .hankel import HankelView, default_weight, square_invertibility_spectrum
-from .linalg import nullspace, solve
+from .linalg import _Basis, nullspace, solve
 from .polynomial import Poly
 from .qval import QVal, ZERO, qexp
 from .series import (LaurentSeries, as_vector, period_bound,
@@ -51,8 +61,8 @@ class _Coord:
     """Per-coordinate scan data: prefetched tail codes for theta and gamma,
     the scan cap, and whether an all-zero scan certifies an exact zero."""
 
-    th: list[int]
-    gam: list[int]
+    th: bytes
+    gam: bytes
     cap: int
     certified: bool
 
@@ -81,8 +91,8 @@ def _coord_contexts(vec: tuple[LaurentSeries, ...],
                 else gm_s.guarantee,
                 detail=f"coordinate {s}: cannot scan even one tail "
                        f"coefficient at degree bound {max_deg}")
-        out.append(_Coord(th=list(th_s.frac_coeffs(cap + max_deg)),
-                          gam=list(gm_s.frac_coeffs(cap)),
+        out.append(_Coord(th=th_s.frac_bytes(cap + max_deg),
+                          gam=gm_s.frac_bytes(cap),
                           cap=cap,
                           certified=(zero_width is not None
                                      and cap >= zero_width)))
@@ -130,98 +140,204 @@ class DepthBoundedConstant:
         }
 
 
+class _Prefix:
+    """The degree-h candidates N = n_0 + ... + n_h t^h whose products
+    N theta^s match the first kappa[s] tail digits of gamma^s in every
+    coordinate s: the solutions of M[kappa, h+1] n = pi_kappa(gamma), an
+    affine set.  Row i of coordinate s is theta^s_{i+1..i+h+1} (byte k
+    holds the coefficient of n_k) tagged with gamma^s_{i+1}, and the rows
+    form one lowest-pivot echelon, so a pivot k fixes n_k from the more
+    significant variables.  floor holds the least kappa the set is ever
+    grown to."""
+
+    def __init__(self, field: Field, ctxs: list[_Coord], h: int, floor):
+        self.basis = _Basis(field, h + 1)
+        self.ctxs, self.h, self.floor = ctxs, h, floor
+        self.kappa = [0] * len(ctxs)
+        self.ok = True                  # no row was inconsistent
+        self.grow(floor)
+
+    def grow(self, kappa, stop_at_full: bool = False) -> None:
+        """Add rows up to kappa (at least the floor); stop_at_full stops
+        once a single candidate is left, leaving later rows unchecked."""
+        b, h = self.basis, self.h
+        for s, ctx in enumerate(self.ctxs):
+            for i in range(self.kappa[s], max(kappa[s], self.floor[s])):
+                if not self.ok or (stop_at_full and b.rank > h):
+                    return
+                p, v = b.insert(int.from_bytes(ctx.th[i:i + h + 1] + ctx.gam[i:i + 1],
+                                               "little"))
+                self.ok = p >= 0 or not v >> (8 * h + 8)
+                self.kappa[s] = i + 1
+
+    def count(self) -> int:
+        """Points with n_h != 0: q^f for f free variables, times (q-1)/q
+        when n_h is free, or 0 when n_h is forced to 0."""
+        if not self.ok:
+            return 0
+        q, h = self.basis._field.q, self.h
+        free = h + 1 - self.basis.rank
+        top = self.basis._pivots.get(h)
+        if top is None:
+            return q ** (free - 1) * (q - 1)
+        return q ** free if top >> (8 * h + 8) else 0
+
+    def forced(self, k: int, n: list[int]) -> int | None:
+        """n_k as fixed by n_{k+1}, ..., n_h; None when n_k is free."""
+        row = self.basis._pivots.get(k)
+        if row is None:
+            return None
+        entries = row.to_bytes(self.h + 2, "little")
+        f = self.basis._field
+        return f.sub(entries[-1], f.dot(entries[k + 1:-1], n[k + 1:]))
+
+
+def _prefix_sets(field: Field, ctxs: list[_Coord], h: int, exp) -> list:
+    """Signed prefix sets whose signed counts add up to the degree-h
+    candidates that are not skipped: first (1, all candidates), then, per
+    nonempty set U of uncertified coordinates, the candidates matching U
+    to the cap whose other terms stay below U's ceiling, less (by
+    inclusion-exclusion over W) those also matching other uncertified
+    coordinates W to the cap.  The latter are exactly the skipped
+    candidates, counted with a minus sign."""
+    d = len(ctxs)
+    unc = [s for s, c in enumerate(ctxs) if not c.certified]
+    sets = [(1, _Prefix(field, ctxs, h, (0,) * d))]
+    for u_mask in range(1, 1 << len(unc)):
+        in_u = {s for b, s in enumerate(unc) if u_mask >> b & 1}
+        ceiling = max(exp[s] - ctxs[s].cap - 1 for s in in_u)
+        rest = [s for s in unc if s not in in_u]
+        for w_mask in range(1 << len(rest)):
+            in_w = {s for b, s in enumerate(rest) if w_mask >> b & 1}
+            floor = tuple(c.cap if s in in_u or s in in_w
+                          else min(c.cap, max(0, math.floor(exp[s] - ceiling)))
+                          for s, c in enumerate(ctxs))
+            sets.append(((-1) ** (len(in_w) + 1), _Prefix(field, ctxs, h, floor)))
+    return sets
+
+
+def _least_point(field: Field, h: int, sets) -> list[int]:
+    """The lexicographically least (n_h, ..., n_0), n_h != 0, in the signed
+    union of the sets: digits are fixed from n_h down, each to the least
+    code that leaves a positive signed count (n_0 first in the result)."""
+    q = field.q
+    n = [0] * (h + 1)
+    live = [(sign, p) for sign, p in sets if p.ok]
+    for k in range(h, -1, -1):
+        opts = [(sign, p, p.forced(k, n),
+                 q ** (k - sum(j < k for j in p.basis._pivots))) for sign, p in live]
+        n[k] = next(c for c in range(1 if k == h else 0, q)
+                    if sum(sign * size for sign, _, f, size in opts
+                           if f is None or f == c) > 0)
+        live = [(sign, p) for sign, p, f, _ in opts if f is None or f == n[k]]
+    return n
+
+
+def _depths(field: Field, ctxs: list[_Coord], n: list[int]) -> tuple[int, ...]:
+    """Per coordinate the first tail digit (1-based) where N theta^s and
+    gamma^s differ within the cap, 0 when none does."""
+    ops = _Basis(field)
+    out = []
+    for ctx in ctxs:
+        diff = int.from_bytes(ctx.gam, "little")
+        for k, c in enumerate(n):
+            if c:
+                diff = ops.sub_multiple(diff, int.from_bytes(ctx.th[k:k + ctx.cap], "little"), c)
+        out.append(((diff & -diff).bit_length() + 7) >> 3)
+    return tuple(out)
+
+
+def _value(ctxs: list[_Coord], exp, depths):
+    """A candidate's exponent from its depths: None when it is skipped
+    (its uncertified coordinates match to the cap and could still decide
+    the maximum), ZERO when every coordinate is certified and matches."""
+    terms = [e - dep for e, dep in zip(exp, depths) if dep]
+    ceilings = [e - c.cap - 1 for e, c, dep in zip(exp, ctxs, depths)
+                if not dep and not c.certified]
+    if ceilings and (not terms or max(terms) < max(ceilings)):
+        return None
+    return max(terms) if terms else ZERO
+
+
+def _below(ctxs: list[_Coord], exp, t):
+    """The largest attainable exponent e_s - m (1 <= m <= cap_s) below t,
+    None when there is none."""
+    return max((e - m for e, c in zip(exp, ctxs)
+                for m in (max(1, math.floor(e - t) + 1),) if m <= c.cap), default=None)
+
+
+def _descend(field: Field, ctxs: list[_Coord], h: int, exp, bound, sets):
+    """The least exponent below bound (None: no bound) of a degree-h
+    candidate that is not skipped, as (exponent, digits, depths) for the
+    lexicographically least such candidate; the exponent is ZERO for a
+    certified exact zero.  None when no candidate gets below bound.
+
+    The target t descends through the attainable exponents.  At t every
+    coordinate must match its first ceil(e_s - 1 - t) digits, clipped at
+    its cap, so each step only adds rows.  The first t without a
+    candidate ends the descent; the previous t is the minimum.  Once
+    n_0..n_h are all fixed a single candidate is left, and its own depths
+    decide instead of the remaining rows.  A target below every
+    attainable exponent (None) asks for a match to every cap."""
+    t = max(e - 1 for e in exp) if bound is None else _below(ctxs, exp, bound)
+    main = sets[0][1]
+    last = None
+    while True:
+        kappa = [c.cap if t is None else min(c.cap, max(0, math.ceil(e - 1 - t)))
+                 for e, c in zip(exp, ctxs)]
+        saved = [(list(p.kappa), p.ok, p.basis.rank) for _, p in sets]
+        for _, p in sets:
+            p.grow(kappa, stop_at_full=p is main)
+        if main.basis.rank > h:
+            if main.count():
+                n = _least_point(field, h, [(1, main)])
+                depths = _depths(field, ctxs, n)
+                e = _value(ctxs, exp, depths)
+                if e is ZERO or (e is not None and t is not None and e <= t):
+                    return e, n, depths
+        elif sum(sign * p.count() for sign, p in sets) > 0:
+            if t is None:
+                n = _least_point(field, h, sets)
+                return ZERO, n, _depths(field, ctxs, n)
+            last, t = t, _below(ctxs, exp, t)
+            continue
+        for (_, p), (kappa, ok, rank) in zip(sets, saved):
+            p.kappa, p.ok = kappa, ok
+            p.basis.truncate(rank)
+        break
+    if last is None:
+        return None
+    n = _least_point(field, h, sets)
+    return last, n, _depths(field, ctxs, n)
+
+
 def _scan_range(field: Field, contexts: list[_Coord],
                 deg_lo: int, deg_hi: int, exponents) -> tuple:
-    """Shared enumeration core.
+    """Shared search core, by linear algebra over each degree.
 
     exponents(h) must return, per tracked variant, the per-coordinate
     weight exponents at degree h.  Returns per variant
-    (best_exponent, best_digits, best_depths) plus the skip count and a
-    zero witness if one was certified."""
-    q = field.q
-    d = len(contexts)
-    add = field._add
-    mul = field._mul
-    sub = field.sub
+    (best_exponent, best_digits, best_depths) plus the skip count of the
+    first variant and a zero witness if one was certified.  Ties keep the
+    lower degree, then the lexicographically least (n_h, ..., n_0): the
+    first minimiser in the order of the enumeration this replaces
+    (tests/oracles.odometer_scan)."""
     n_var = len(exponents(0))
-    best = [None] * n_var
+    best: list = [None] * n_var
     best_digits: list[tuple[int, ...] | None] = [None] * n_var
     best_depths: list[tuple[int, ...] | None] = [None] * n_var
     skipped = 0
-    zero_digits = None
     for h in range(deg_lo, deg_hi + 1):
-        exps = exponents(h)
-        digits = [0] * (h + 1)
-        digits[h] = 1
-        tails = []
-        for ctx in contexts:
-            th = ctx.th
-            tails.append([th[i + h] for i in range(ctx.cap)])
-        while True:
-            depths: list[int] = []     # first mismatch, 0 = none found
-            uncertain_ceil = []        # per-variant ceilings
-            ok = True
-            for s in range(d):
-                ctx = contexts[s]
-                L = tails[s]
-                gam = ctx.gam
-                i0 = 0
-                for i in range(ctx.cap):
-                    if L[i] != gam[i]:
-                        i0 = i + 1
-                        break
-                depths.append(i0)
-                if i0 == 0 and not ctx.certified:
-                    uncertain_ceil.append(s)
-            for v in range(n_var):
-                exp_v = exps[v]
-                terms = [exp_v[s] - depths[s] for s in range(d) if depths[s]]
-                if uncertain_ceil:
-                    ceil = max(exp_v[s] - contexts[s].cap - 1
-                               for s in uncertain_ceil)
-                    if not terms or max(terms) < ceil:
-                        if v == 0:
-                            skipped += 1
-                        continue
-                if not terms:
-                    # every coordinate certifies an exact zero
-                    zero_digits = tuple(digits)
-                    break
-                e = max(terms)
-                if best[v] is None or e < best[v]:
-                    best[v] = e
-                    best_digits[v] = tuple(digits)
-                    best_depths[v] = tuple(depths)
-            if zero_digits is not None:
-                return best, best_digits, best_depths, skipped, zero_digits
-            # odometer increment with incremental tail updates
-            k = 0
-            while k <= h:
-                old = digits[k]
-                lo = 1 if k == h else 0
-                nxt = old + 1
-                if nxt >= q:
-                    if k == h:
-                        k += 1
-                        break
-                    digits[k] = lo
-                    delta = sub(lo, old)
-                else:
-                    digits[k] = nxt
-                    delta = sub(nxt, old)
-                for s in range(d):
-                    th = contexts[s].th
-                    L = tails[s]
-                    row = mul[delta]
-                    for i in range(contexts[s].cap):
-                        c = th[i + k]
-                        if c:
-                            L[i] = add[L[i]][row[c]]
-                if nxt < q:
-                    break
-                k += 1
-            if k > h:
-                break
+        for v, exp in enumerate(exponents(h)):
+            sets = _prefix_sets(field, contexts, h, exp)
+            if v == 0:
+                skipped -= sum(sign * p.count() for sign, p in sets[1:])
+            found = _descend(field, contexts, h, exp, best[v], sets)
+            if found is None:
+                continue
+            if found[0] is ZERO:
+                return best, best_digits, best_depths, skipped, tuple(found[1])
+            best[v], best_digits[v], best_depths[v] = found[0], tuple(found[1]), found[2]
     return best, best_digits, best_depths, skipped, None
 
 
@@ -406,8 +522,7 @@ def find_witness_small(theta: LaurentSeries, gamma: LaurentSeries,
         exact = False
         try:
             ctx = _coord_contexts(vec, (gam,), witness.deg, None)[0]
-            tail = poly_times_series_frac(witness, vec[0], ctx.cap)
-            i0 = next((i + 1 for i in range(ctx.cap) if tail[i] != ctx.gam[i]), 0)
+            i0 = _depths(field, [ctx], list(witness.coeffs))[0]
             if i0:
                 value = qexp(witness.deg - i0)
                 exact = True

@@ -10,6 +10,7 @@ the package under test.
 from __future__ import annotations
 
 import itertools
+import math
 
 
 # ---------------------------------------------------------------------------
@@ -410,3 +411,72 @@ def count_hyperplane(f, b, positions, fixed, q_gap):
             count += 1
     assert q_gap == f.q ** gap
     return count
+
+
+def scan_cap(theta_period, gamma_period, theta_guarantee, gamma_guarantee,
+             max_deg, prec, default_scan=64):
+    """Scan cap and certification flag of one coordinate, as the constant
+    scans define them.  *_period is (preperiod, period) or None when the
+    source declares none; *_guarantee is the last served index or None.
+    Past max preperiod + lcm of the periods both tails repeat together, so
+    a scan that far certifies an exact zero."""
+    zero_width = None
+    if theta_period is not None and gamma_period is not None:
+        (a1, p1), (a2, p2) = theta_period, gamma_period
+        zero_width = max(a1, a2) + p1 * p2 // math.gcd(p1, p2)
+    cap = zero_width if zero_width is not None else \
+        (prec if prec is not None else default_scan)
+    if prec is not None:
+        cap = min(cap, prec)
+    if theta_guarantee is not None:
+        cap = min(cap, theta_guarantee - max_deg)
+    if gamma_guarantee is not None:
+        cap = min(cap, gamma_guarantee)
+    return cap, zero_width is not None and cap >= zero_width
+
+
+def odometer_scan(f, coords, deg_lo, deg_hi, exponents):
+    """The constant scan by enumerating every candidate, as the package did
+    before it searched by linear algebra.
+
+    coords lists per coordinate (theta_tail, gamma_tail, cap, certified),
+    tails 0-based and theta_tail at least cap + deg_hi long.  exponents(h)
+    gives per variant the per-coordinate exponents at degree h.  Every N
+    with deg_lo <= deg N <= deg_hi is visited degree by degree, and within
+    a degree in lexicographic order of (n_h, ..., n_0) with n_h != 0.  A
+    coordinate's depth is its first mismatch (1-based) within the cap, 0
+    when none.  A candidate whose uncertified coordinates all match to the
+    cap is skipped unless a mismatching coordinate already decides its
+    value; one matching every certified coordinate to the cap is an exact
+    zero and ends the scan.  Returns per variant the first minimal
+    exponent with its digits (n_0 first) and depths, the skip count of
+    variant 0, and the exact-zero digits or None."""
+    n_var = len(exponents(0))
+    best = [None] * n_var
+    best_digits = [None] * n_var
+    best_depths = [None] * n_var
+    skipped = 0
+    for h in range(deg_lo, deg_hi + 1):
+        exps = exponents(h)
+        for top in range(1, f.q):
+            for rest in itertools.product(range(f.q), repeat=h):
+                n = list(reversed(rest)) + [top]
+                depths = [first_mismatch(f, n, th, gam, cap)
+                          for th, gam, cap, _ in coords]
+                open_caps = [s for s, (_, _, _, cert) in enumerate(coords)
+                             if depths[s] == 0 and not cert]
+                for v in range(n_var):
+                    e_v = exps[v]
+                    terms = [e_v[s] - depths[s]
+                             for s in range(len(coords)) if depths[s]]
+                    if open_caps:
+                        ceiling = max(e_v[s] - coords[s][2] - 1 for s in open_caps)
+                        if not terms or max(terms) < ceiling:
+                            skipped += v == 0
+                            continue
+                    if not terms:
+                        return best, best_digits, best_depths, skipped, tuple(n)
+                    e = max(terms)
+                    if best[v] is None or e < best[v]:
+                        best[v], best_digits[v], best_depths[v] = e, tuple(n), tuple(depths)
+    return best, best_digits, best_depths, skipped, None

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from ffba.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from ffba.indices import MAX_J_CUTOFF
 
 THETA = "frac=periodic:[0,1]|[0]"
 GAMMA = "frac=periodic:[1,0,1]|[0]"
@@ -274,6 +275,27 @@ def test_out_of_range_input_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("ffba: error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, code", [("i", EXIT_VERIFY), ("width", EXIT_USAGE)])
+def test_certificate_check_refuses_huge_extents_quickly(tmp_path, capsys, key, code):
+    """A huge i fails the row shape check before the weight is evaluated
+    there; a width past the j_cutoff cap is a malformed document."""
+    _, doc = run_json(capsys, "gamma", "--q", "2", "--theta", THETA, "--ell", "1")
+    doc["stages"][-1][key] = 10 ** 9
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    got, out, err = run(capsys, "certificate-check", "--file", str(path))
+    assert got == code and "Traceback" not in err
+
+
+def test_j_cutoff_above_the_verifier_cap_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "gamma", "--q", "2", "--theta", THETA, "--ell", "1",
+                         "--j-cutoff", str(MAX_J_CUTOFF + 1))
+    assert code == EXIT_USAGE and out == "" and err.startswith("ffba: error:")
+    code, _, _ = run(capsys, "gamma", "--q", "2", "--theta", THETA, "--ell", "1",
+                     "--j-cutoff", str(MAX_J_CUTOFF))
+    assert code == EXIT_OK
 
 
 def test_certificate_check_reports_partial_coverage(tmp_path, capsys):

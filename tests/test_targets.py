@@ -204,6 +204,15 @@ def test_verify_rejects_decreasing_stages(change):
     assert failed.get("stage0_no_solution") == "not checked: stages not monotone"
 
 
+@pytest.mark.parametrize("key", ["i", "width"])
+def test_verify_fails_huge_extents_without_building_them(key):
+    """i beyond b's length, or a width past MAX_J_CUTOFF, fails the row
+    shape check; neither the weight nor any row is evaluated there."""
+    _, cert = _worked(2)
+    rep = verify_certificate(_tamper_stage(cert, 1, **{key: 10 ** 9}))
+    assert not rep.ok and "stage1_row_shape" in [name for name, _, _ in rep.failed()]
+
+
 @pytest.mark.parametrize("q, d, weight", [(2, 1, None), (3, 1, None),
                                           (2, 2, "equal"), (3, 2, "r:1/3,2/3")])
 def test_verify_least_solvable_column_matches_dense_scan(q, d, weight):

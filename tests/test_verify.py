@@ -6,15 +6,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
-from ffba import (Field, GeneralizedWeight, Poly, ZERO, c_depth,
+from ffba import (ComparisonReport, DepthBoundedConstant, ElementCodeError,
+                  Field, FiniteSource, GeneralizedWeight, InsufficientPrecisionError,
+                  LaurentSeries, PeriodicSource, Poly, RuleSource, ZERO, c_depth,
                   c_depth_weighted, c_liminf_depth, compare_weighted_constants,
-                  expand_rational, find_witness_small, liminf_structure,
-                  m0_structure, make_liminf_theta, matrix_condition_check,
-                  merge_reports, parse_series, qexp)
+                  expand_rational, find_witness_small, indices_sequence,
+                  liminf_structure, m0_structure, make_liminf_theta,
+                  matrix_condition_check, merge_reports, parse_series, qexp)
 from ffba.verify import alternation_pairs
 
-from oracles import OracleField, brute_constant_exponent
+from oracles import (OracleField, brute_constant_exponent, odometer_scan,
+                     scan_cap)
 
 
 def _periodic(f, rng, pre_len, per_len):
@@ -108,6 +112,160 @@ def test_precision_cap_reports_limit():
     assert rep.scan_caps == (2,)
     full = c_depth(th, g, 8)
     assert rep.value >= full.value
+
+
+# every report field against the enumeration in tests/oracles.py; the
+# degree bound keeps each enumeration under about a hundred candidates
+_MAX_DEG = {2: 5, 3: 3, 4: 2, 5: 2, 9: 1}
+
+
+@st.composite
+def _coordinate(draw, of, kind):
+    """One tail as (digit function, (preperiod, period) or None, guarantee
+    or None, package source).  'hit' is filled in later from theta."""
+    q = of.q
+    code = st.sampled_from([0, 0] + list(range(1, q)))
+    codes = lambda lo, hi: draw(st.lists(code, min_size=lo, max_size=hi))
+    if kind in ("periodic", "sparse"):
+        pre = codes(0, 4) if kind == "periodic" else \
+            draw(st.lists(st.sampled_from([0, 0, 0, 1]), max_size=6))
+        per = codes(1, 4) if kind == "periodic" else [0]
+        fn = lambda i: pre[i - 1] if i <= len(pre) else per[(i - 1 - len(pre)) % len(per)]
+        return fn, (len(pre), len(per)), None, PeriodicSource(pre, per)
+    if kind == "finite":
+        ds = codes(8, 20)
+        return (lambda i: ds[i - 1]), None, len(ds), FiniteSource(ds)
+    ds = codes(1, 30)
+    fn = lambda i: ds[(i - 1) % len(ds)]
+    return fn, None, None, RuleSource("drawn", fn)
+
+
+def _hit(of, theta, n0):
+    """<N0 theta> for a periodic theta, as a periodic coordinate."""
+    fn, (a, p), _, _ = theta
+    digits = [0] * (a + p)
+    for i in range(1, a + p + 1):
+        for k, c in enumerate(n0):
+            digits[i - 1] = of.add(digits[i - 1], of.mul(c, fn(i + k)))
+    pre, per = digits[:a], digits[a:]
+    return (lambda i: digits[i - 1] if i <= a else per[(i - 1 - a) % p]), (a, p), None, \
+        PeriodicSource(pre, per)
+
+
+@st.composite
+def _constant_inputs(draw, dims=(1, 1, 2, 2, 3), precs=(None, None, 1, 2, 3, 6, 11),
+                     kinds=("periodic", "sparse", "finite", "rule"), orders=(2, 3, 4, 5, 9)):
+    q = draw(st.sampled_from(orders))
+    f = Field.of_order(q)
+    of = OracleField(f.p, f.k, list(f.modulus) if f.k > 1 else None)
+    d = draw(st.sampled_from(dims))
+    max_deg = draw(st.integers(0, _MAX_DEG[q] - (d == 3)))
+    deg_lo = draw(st.sampled_from([0, 0, 0, max_deg, max_deg // 2]))
+    prec = draw(st.sampled_from(precs))
+    thetas, gammas = [], []
+    for _ in range(d):
+        th = draw(_coordinate(of, draw(st.sampled_from(kinds))))
+        kind = draw(st.sampled_from(kinds + ("hit",)))
+        if kind == "hit" and th[1] is not None:
+            gm = _hit(of, th, draw(st.lists(st.integers(0, q - 1), min_size=1,
+                                            max_size=max_deg + 1)))
+        else:
+            gm = draw(_coordinate(of, "periodic" if kind == "hit" else kind))
+        thetas.append(th)
+        gammas.append(gm)
+    weight = None if d == 1 else draw(st.sampled_from([
+        GeneralizedWeight.equal(d), GeneralizedWeight.from_assignment(d, [d, 1]),
+        GeneralizedWeight.from_assignment(d, [1, 1, 1, d]),
+        GeneralizedWeight.from_real([Fraction(1, 2 ** s) for s in range(1, d)]
+                                    + [Fraction(1, 2 ** (d - 1))])]))
+    return f, of, thetas, gammas, weight, max_deg, deg_lo, prec
+
+
+def _series_of(f, coords):
+    return tuple(LaurentSeries(f, Poly.zero(f), c[3]) for c in coords)
+
+
+def _oracle_coords(thetas, gammas, max_deg, prec):
+    out = []
+    for (tf, tp, tg, _), (gf, gp, gg, _) in zip(thetas, gammas):
+        cap, certified = scan_cap(tp, gp, tg, gg, max_deg, prec)
+        if cap < 1:
+            return None
+        out.append(([tf(i) for i in range(1, cap + max_deg + 1)],
+                    [gf(i) for i in range(1, cap + 1)], cap, certified))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_constant_inputs())
+def test_constant_report_matches_odometer_oracle(case):
+    _check_against_oracle(*case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_constant_inputs(dims=(2, 3), precs=(1, 2, 3), kinds=("sparse", "finite", "rule"),
+                        orders=(2, 2, 3)))
+def test_multi_coordinate_skips_match_odometer_oracle(case):
+    """Several uncertified coordinates under short caps and lopsided
+    weights: the inclusion-exclusion over which of them match to the cap,
+    and the ceilings that decide whether a candidate is skipped."""
+    _check_against_oracle(*case)
+
+
+def _check_against_oracle(f, of, thetas, gammas, weight, max_deg, deg_lo, prec):
+    vec, gvec = _series_of(f, thetas), _series_of(f, gammas)
+    coords = _oracle_coords(thetas, gammas, max_deg, prec)
+    if coords is None:
+        with pytest.raises(InsufficientPrecisionError):
+            c_depth_weighted(vec, gvec, weight, max_deg, prec=prec, deg_lo=deg_lo)
+        return
+    got = c_depth_weighted(vec, gvec, weight, max_deg, prec=prec, deg_lo=deg_lo)
+    heights = weight.eval if weight is not None else (lambda h: (h,))
+    best, digits, depths, skipped, zero = odometer_scan(
+        of, coords, deg_lo, max_deg, lambda h: (heights(h),))
+    caps = tuple(c[2] for c in coords)
+    if zero is not None:
+        want = DepthBoundedConstant(ZERO, Poly(f, zero), None, deg_lo, max_deg,
+                                    caps, False, 0, True)
+    else:
+        want = DepthBoundedConstant(
+            qexp(best[0]) if best[0] is not None else None,
+            Poly(f, digits[0]) if digits[0] else None, depths[0], deg_lo,
+            max_deg, caps, skipped > 0, skipped, False)
+    assert got == want
+    event("zero" if got.zero_witness else "skipped" if got.skipped else "value")
+    if weight is None or weight.kind != "real":
+        return
+    event("comparison")
+    got = compare_weighted_constants(vec, gvec, weight.real, max_deg, prec=prec)
+    best, _, _, skipped, zero = odometer_scan(
+        of, coords, 0, max_deg,
+        lambda h: (tuple(r * h for r in weight.real), weight.eval(h)))
+    real, induced = best
+    if zero is not None:
+        want = ComparisonReport(None, None, Fraction(0), weight.d, True, 0, True)
+    elif real is None or induced is None:
+        want = ComparisonReport(None if real is None else Fraction(real), induced,
+                                None, weight.d, False, skipped)
+    else:
+        diff = abs(Fraction(real) - induced)
+        want = ComparisonReport(Fraction(real), induced, diff, weight.d,
+                                diff < weight.d, skipped)
+    assert got == want
+
+
+@pytest.mark.parametrize("bad", [2, 300, -1])
+def test_rule_codes_are_checked_where_tails_are_fetched(bad):
+    """Rule digits are only known when pulled: the scans and the walk
+    check them there, over F_2 too, where a bad code would otherwise
+    reach the XOR step unnoticed."""
+    f = Field(2)
+    bad_rule = LaurentSeries(f, Poly.zero(f), RuleSource("bad", lambda i: bad * (i == 3)))
+    good = parse_series("frac=periodic:[1]|[0]", f)
+    for call in (lambda: c_depth(bad_rule, good, 2), lambda: c_depth(good, bad_rule, 2),
+                 lambda: indices_sequence(bad_rule, ell=1)):
+        with pytest.raises(ElementCodeError):
+            call()
 
 
 def test_deg_lo_window():
