@@ -7,7 +7,8 @@ they can produce:
 
 * Finite(codes)     -- exactly len(codes) coefficients, then it is an error
                        to ask further (truncated data never silently pads).
-* Rational(num/den) -- lazy long division, unbounded, eventually periodic.
+* Rational(num/den) -- lazy long division, unbounded, eventually periodic
+                       (period by baby-step giant-step on t^k mod den).
 * Periodic(pre|per) -- explicit eventually periodic tail, unbounded.
 * Rule(name)        -- coefficients from a registered function, unbounded.
 
@@ -19,8 +20,10 @@ can only report BelowLimit when every scanned coefficient vanishes.
 from __future__ import annotations
 
 import json
-from math import lcm
-from typing import Callable, Iterable, Sequence
+from itertools import islice
+from math import isqrt, lcm
+from operator import getitem
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InsufficientPrecisionError, TooLargeToEnumerateError
 from .field import Field
@@ -53,6 +56,10 @@ class CoefficientSource:
     def guarantee(self) -> int | None:
         """Largest index served, or None for unbounded sources."""
         return None
+
+    def digits(self, start: int, stop: int) -> list[int]:
+        """Coefficients start..stop."""
+        return [self.coefficient(i) for i in range(start, stop + 1)]
 
     def period_info(self) -> tuple[int, int] | None:
         """(preperiod a, period p) with theta_n = theta_{n+p} for n > a,
@@ -139,10 +146,15 @@ class PeriodicSource(CoefficientSource):
 class RationalSource(CoefficientSource):
     """Tail of num/den, |num| < |den|, by lazy long division.
 
-    Each step multiplies the running remainder by t and splits off the
-    constant quotient digit.  Remainder states repeat, so the stream is
-    eventually periodic; the exact (preperiod, period) is found by
-    recording states until the first revisit.
+    The remainder r (deg den codes, constant first) steps to t*r mod den,
+    and the quotient digit is r's top code over den's leading coefficient.
+    With t^e the power of t dividing den, r_k = t^k r_0 mod den is on the
+    cycle exactly when t^e divides it, so the preperiod a is the least such
+    k <= e.  The period is the least p >= 1 with t^p r_a = r_a, and p <
+    q^(deg den - e): baby-step giant-step (Shanks) with m = isqrt(q^(deg den
+    - e)) + 1 finds every p below m^2.  When m * deg den is over the cap, m
+    drops to isqrt(cap) + 1, so a period up to the cap is still found and a
+    longer one raises TooLargeToEnumerateError.
     """
 
     kind = "rational"
@@ -152,40 +164,70 @@ class RationalSource(CoefficientSource):
             raise ZeroDivisionError("rational source with zero denominator")
         self.num = num
         self.den = den
-        self._rem = num % den
+        f = den.field
+        top = f.inv(den.leading())
+        # the digit of a remainder with top code x, and for digit c the
+        # table rows that subtract c * den below t^deg den
+        self._digit = [f.mul(x, top) for x in range(f.q)]
+        self._sub = [[f._add[f.neg(f.mul(c, b))] for b in den.coeffs[:-1]]
+                     for c in range(f.q)]
+        r0 = (num % den).coeffs
+        self._r0 = r0 + (0,) * (den.deg - len(r0))
+        self._division = self._run(self._r0)
         self._coeffs: list[int] = []
-        self._states: dict[tuple[int, ...], int] = {self._rem.coeffs: 0}
         self._period: tuple[int, int] | None = None
 
-    def _step(self) -> None:
-        quot, rem = divmod(self._rem.shift(1), self.den)
-        self._coeffs.append(quot.coefficient(0))
-        self._rem = rem
-        if self._period is None:
-            seen = self._states.get(rem.coeffs)
-            if seen is not None:
-                self._period = (seen, len(self._coeffs) - seen)
-            else:
-                self._states[rem.coeffs] = len(self._coeffs)
+    def _run(self, r: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """Long division from remainder r: (digit, next remainder) forever."""
+        digit, sub = self._digit, self._sub
+        while True:
+            c = digit[r[-1]] if r else 0
+            r = tuple(map(getitem, sub[c], (0, *r))) if c else (0, *r)[:-1]
+            yield c, r
 
     def coefficient(self, i: int) -> int:
-        if i < 1:
+        return self.digits(i, i)[0]
+
+    def digits(self, start: int, stop: int) -> list[int]:
+        """Long division runs to index a + p at most; past it the digits
+        are slices of the period block."""
+        if start < 1:
             raise ValueError("coefficient indices are 1-based")
-        if self._period is not None:
-            a, p = self._period
-            if i > len(self._coeffs):
-                i = a + 1 + (i - a - 1) % p
-        while len(self._coeffs) < i:
-            self._step()
-        return self._coeffs[i - 1]
+        a, p = self._period or (stop, 0)
+        need = min(stop, a + p) - len(self._coeffs)
+        self._coeffs += [c for c, _ in islice(self._division, max(need, 0))]
+        out = self._coeffs[start - 1:stop]
+        while len(out) < stop - start + 1:
+            i = start + len(out)
+            out += self._coeffs[a + (i - a - 1) % p:a + p][:stop - i + 1]
+        return out
 
     def period_info(self) -> tuple[int, int]:
-        while self._period is None:
-            if len(self._coeffs) > _PERIOD_SEARCH_CAP:
-                raise TooLargeToEnumerateError(
-                    "period search exceeded the supported state count")
-            self._step()
-        return self._period
+        if self._period is not None:
+            return self._period
+        deg, cap = self.den.deg, _PERIOD_SEARCH_CAP
+        e = next(k for k, c in enumerate(self.den.coeffs) if c)
+        m = isqrt(self.den.field.q ** (deg - e)) + 1
+        m = m if m * deg <= cap else min(m, isqrt(cap) + 1)
+        rems = [self._r0, *(r for _, r in islice(self._run(self._r0), e))]
+        a = next(k for k, r in enumerate(rems) if not any(r[:e]))
+        start, baby = rems[a], {rems[a]: 0}
+        for j, (_, r) in enumerate(islice(self._run(start), m - 1), 1):
+            if r == start:
+                self._period = (a, j)
+                return self._period
+            baby[r] = j
+        # deg den >= 1 here; g = t^m mod den, and y -> y*g mod den is
+        # y_k times t^k g mod den, summed: one dot product per column
+        g = next(islice(self._run((1,) + (0,) * (deg - 1)), m - 1, None))[1]
+        cols = list(zip(g, *(r for _, r in islice(self._run(g), deg - 1))))
+        y, dot = start, self.den.field.dot
+        for i in range(1, m + 1):
+            y = tuple(dot(y, col) for col in cols)
+            if y in baby:
+                self._period = (a, i * m - baby[y])
+                return self._period
+        raise TooLargeToEnumerateError(f"no period up to {m * m}; a full search is past {cap}")
 
     def to_json(self) -> dict:
         return {"kind": "rational", "num": list(self.num.coeffs),
@@ -300,13 +342,13 @@ class LaurentSeries:
         return self.frac.coefficient(i)
 
     def frac_coeffs(self, count: int) -> list[int]:
-        return [self.frac.coefficient(i) for i in range(1, count + 1)]
+        return self.frac.digits(1, count)
 
     def frac_bytes(self, stop: int, start: int = 1) -> bytes:
         """Tail codes start..stop as bytes.  Listed codes were checked when
         the series was built; a rule's codes are checked here, so a code
         outside range(q) raises ElementCodeError."""
-        codes = [self.frac.coefficient(i) for i in range(start, stop + 1)]
+        codes = self.frac.digits(start, stop)
         if codes and not 0 <= min(codes) <= max(codes) < self.field.q:
             self.field.check(next(c for c in codes if not 0 <= c < self.field.q))
         return bytes(codes)

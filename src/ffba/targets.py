@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .cantor import ConstructionSchedule, CylinderSet, as_schedule
 from .errors import (BudgetExhaustedError, CertificateFormatError,
-                     TooLargeToEnumerateError)
+                     InsufficientPrecisionError, TooLargeToEnumerateError)
 from .field import Field
 from .hankel import HankelView, default_weight, left_null_vector, walk_row
 from .indices import (DEFAULT_J_CUTOFF, MAX_J_CUTOFF, IndicesTrace, Stage,
@@ -330,11 +330,18 @@ def verify_certificate(cert: Certificate, j_cap: int | None = None) -> Certifica
     field = cert.field
     stages = cert.stages
     # b's length bounds i before the weight is evaluated at i, and widths
-    # past MAX_J_CUTOFF are refused before any row is built
+    # past MAX_J_CUTOFF or past theta's data are refused before any row is built
     heights = [w.eval(st.i) if len(st.b) == st.i else None for st in stages]
-    shaped = [g is not None and st.width <= MAX_J_CUTOFF
+    past_data = [False] * len(stages)
+    for k, (st, g) in enumerate(zip(stages, heights)):
+        try:
+            if g is not None:
+                HankelView(vec, w, st.i, st.width).require_precision()
+        except InsufficientPrecisionError:
+            past_data[k] = True
+    shaped = [g is not None and st.width <= MAX_J_CUTOFF and not past
               and all(len(cert.gamma_digits[s]) >= h for s, h in enumerate(g))
-              for st, g in zip(stages, heights)]
+              for st, g, past in zip(stages, heights, past_data)]
     caps = [st.width if j_cap is None else max(0, min(st.width, j_cap))
             for st in stages]
     checked = [(st.i, cap) for st, ok, cap in zip(stages, shaped, caps) if ok]
@@ -346,7 +353,7 @@ def verify_certificate(cert: Certificate, j_cap: int | None = None) -> Certifica
         least = _least_solvable(cert, *checked[-1])
     prev_i = prev_j = prev_width = 0
     g_prev = w.eval(0)
-    for st, g_now, shape_ok, cap in zip(stages, heights, shaped, caps):
+    for st, g_now, shape_ok, cap, past in zip(stages, heights, shaped, caps, past_data):
         tag = f"stage{st.m}"
         add(f"{tag}_b_nonzero", any(st.b), "")
         add(f"{tag}_i_step", st.i >= prev_i + cert.ell,
@@ -361,7 +368,8 @@ def verify_certificate(cert: Certificate, j_cap: int | None = None) -> Certifica
             f"extents {list(g_prev or ())} -> {g_now}")
         add(f"{tag}_row_shape", shape_ok,
             f"{len(st.b)} annihilator entries for row extent {st.i}"
-            + (f", width {st.width} past {MAX_J_CUTOFF}" if st.width > MAX_J_CUTOFF else ""))
+            + (f", width {st.width} past {MAX_J_CUTOFF}" if st.width > MAX_J_CUTOFF else "")
+            + (f", width {st.width} past theta's data" if past else ""))
         if shape_ok and g_prev is not None:
             # the remaining checks index by the claimed extent
             if st.j_next is not None:

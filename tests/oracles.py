@@ -174,6 +174,25 @@ def rational_expansion(f, num, den, count):
     return poly, tail
 
 
+def rational_period_states(f, num, den, count):
+    """(preperiod, period) of the tail of num/den and its first `count`
+    digits, by long division that records every remainder until the first
+    one repeats: digit i comes from remainder i - 1 times t, and remainder
+    k recurring at index k + p gives preperiod k and period p."""
+    num, den = poly_trim(num), poly_trim(den)
+    _, rem = poly_divmod(f, num, den)
+    seen = {tuple(rem): 0}
+    digits, period = [], None
+    while period is None or len(digits) < count:
+        quot, rem = poly_divmod(f, [0] + rem, den)
+        digits.append(quot[0] if quot else 0)
+        if period is None:
+            k = seen.setdefault(tuple(rem), len(digits))
+            if k != len(digits):
+                period = (k, len(digits) - k)
+    return period, digits[:count]
+
+
 # ---------------------------------------------------------------------------
 # Dense linear algebra
 # ---------------------------------------------------------------------------

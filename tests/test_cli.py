@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -103,6 +105,30 @@ def test_expand_reports_period(capsys):
     assert doc["frac_prefix"] == [1] * 6
     assert (doc["preperiod"], doc["period"]) == (0, 1)
     assert doc["text"] == "q=3; frac=rational:[1]/[2,1]"
+
+
+def test_expand_reports_a_large_period(capsys):
+    # x^20 + x^3 + 1 is primitive over F_2
+    den = [1, 0, 0, 1] + [0] * 16 + [1]
+    code, doc = run_json(capsys, "expand", "--q", "2", "--num", "[1]",
+                         "--den", json.dumps(den), "--prec", "4")
+    assert code == EXIT_OK
+    assert (doc["preperiod"], doc["period"]) == (0, 2 ** 20 - 1)
+
+
+def test_expand_refuses_a_period_search_past_the_cap(capsys):
+    """A full search at deg 60 over F_2 would need 2^30 baby steps; the
+    search looks only for periods up to the cap, with a table of about a
+    thousand remainders, and refuses when none turns up."""
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "expand", "--q", "2", "--num", "[1]",
+                             "--den", json.dumps([1, 1] + [0] * 58 + [1]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_USAGE and out == "" and peak < 2 ** 22
+    assert err.startswith("ffba: error:") and "Traceback" not in err
 
 
 def test_hankel_matrix_and_rank(capsys):
@@ -213,6 +239,21 @@ def test_certificate_check_rejects_lowered_ell(tmp_path, capsys):
     assert code == EXIT_VERIFY and out["ok"] is False
     assert {"name": "stage0_i_bound", "ok": False,
             "detail": "i=1, previous j 0, ell=0"} in out["checks"]
+
+
+@pytest.mark.parametrize("extra", [2, 5])
+def test_certificate_check_fails_a_width_past_theta_data(tmp_path, capsys, extra):
+    golden = Path(__file__).with_name("golden_certificates.json")
+    doc = next(c["certificate"] for c in json.loads(golden.read_text())
+               if c["label"] == "d=2 q=2 r:1/3,2/3 seeded-random")
+    doc["stages"][-1]["width"] += extra
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_json(capsys, "certificate-check", "--file", str(path))
+    assert code == EXIT_VERIFY and out["ok"] is False
+    failed = [c for c in out["checks"] if not c["ok"]]
+    assert [c["name"] for c in failed] == [f"stage{len(doc['stages']) - 1}_row_shape"]
+    assert "past theta's data" in failed[0]["detail"]
 
 
 def _b_out_of_range(doc):

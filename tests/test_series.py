@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from ffba import (Field, LaurentSeries, Poly, ZERO, expand_rational, frac_abs,
                   parse_series, poly_times_series_frac, qexp, rule_source,
@@ -14,7 +15,8 @@ from ffba.errors import ElementCodeError, FfbaError, InsufficientPrecisionError
 from ffba.qval import BelowLimit
 from ffba.series import (FiniteSource, PeriodicSource, RationalSource,
                          RuleSource, as_vector)
-from oracles import OracleField, rational_expansion
+from oracles import (OracleField, poly_mul, poly_trim, rational_expansion,
+                     rational_period_states)
 
 
 def _oracle_of(field: Field) -> OracleField:
@@ -72,6 +74,86 @@ def test_period_info_is_minimal():
             ok = all(coeffs[i] == coeffs[i + shorter]
                      for i in range(pre, len(coeffs) - shorter))
             assert not ok, (num, den, pre, per, shorter)
+
+
+# den degree per q, kept small enough for the state-recording oracle
+_CORE_LEN = {2: 6, 3: 4, 4: 4, 9: 3}
+
+
+@st.composite
+def _rationals(draw):
+    """num/den with den = t^e * core * common and num = top * common: a
+    power of t gives a preperiod, a common factor leaves the fraction
+    unreduced; constant den, num = 0 and deg num >= deg den all occur."""
+    q = draw(st.sampled_from(sorted(_CORE_LEN)))
+    field = Field.of_order(q)
+    o = _oracle_of(field)
+    code = st.integers(0, q - 1)
+    core = draw(st.lists(code, min_size=1, max_size=_CORE_LEN[q]).filter(any))
+    common = draw(st.lists(code, min_size=1, max_size=2).filter(any))
+    top = draw(st.lists(code, max_size=8))
+    den = poly_mul(o, [0] * draw(st.integers(0, 3)) + core, common)
+    return field, o, poly_mul(o, top, common), den
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rationals(), st.sampled_from(["digits", "period"]), st.data())
+def test_rational_source_matches_state_oracle(case, order, data):
+    """period_info and the first a + 2p + 8 digits agree with the oracle
+    that records remainders, whether digits or the period come first, read
+    by coefficient() and by digits(start, stop) slices."""
+    field, o, num, den = case
+    (a, p), want = rational_period_states(o, num, den, 0)
+    want = rational_period_states(o, num, den, a + 2 * p + 8)[1]
+    n = len(want)
+    dn, nn = len(poly_trim(den)) - 1, len(poly_trim(num)) - 1
+    event("preperiod > 0" if a else "purely periodic")
+    event("constant den" if dn == 0 else "num = 0" if nn < 0
+          else "deg num >= deg den" if nn >= dn else "proper")
+    by_index = expand_rational(Poly(field, num), Poly(field, den)).frac
+    by_slice = expand_rational(Poly(field, num), Poly(field, den)).frac
+    if order == "digits":
+        first = data.draw(st.integers(0, n), label="digits read first")
+        assert [by_index.coefficient(i) for i in range(1, first + 1)] == want[:first]
+        assert by_slice.digits(1, first) == want[:first]
+    assert by_index.period_info() == by_slice.period_info() == (a, p)
+    assert [by_index.coefficient(i) for i in range(1, n + 1)] == want
+    start = data.draw(st.integers(1, n), label="slice start")
+    stop = data.draw(st.integers(start - 1, n), label="slice stop")
+    assert by_slice.digits(start, stop) == want[start - 1:stop]
+    assert by_slice.digits(1, n) == want
+
+
+def test_one_over_t_digits_after_the_period():
+    """1/t has preperiod 1 and period 1; digits read after the period is
+    known are still 1, 0, 0, ... (index 1 lies before a + p)."""
+    f = Field.of_order(2)
+    s = expand_rational(Poly(f, [1]), Poly(f, [0, 1]))
+    assert s.frac.period_info() == (1, 1)
+    assert s.frac.coefficient(1) == 1
+    assert s.frac_coeffs(5) == [1, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("den, info", [([1] + [0] * 39 + [1], (0, 40)),
+                                       ([0] * 40 + [1], (40, 1))])
+def test_short_period_of_a_high_degree_denominator(den, info):
+    """A full search over 2^40 states is past the cap, but 1/(t^40 + 1)
+    (period 40) and 1/t^40 (a finite tail) are found as the states
+    oracle finds them."""
+    f = Field.of_order(2)
+    s = expand_rational(Poly(f, [1]), Poly(f, den))
+    assert s.frac.period_info() == info
+    assert rational_period_states(_oracle_of(f), [1], den, 0)[0] == info
+
+
+def test_period_under_the_cap_past_a_full_search():
+    """Two distinct primitive degree-16 factors over F_2: the full search
+    at degree 32 is past the cap, and the period, the lcm 2^16 - 1 of the
+    factors' orders, is still found."""
+    f = Field.of_order(2)
+    den = Poly(f, [1, 0, 1, 1, 0, 1] + [0] * 10 + [1]) * Poly(
+        f, [1] + [0] * 10 + [1, 0, 1, 1, 0, 1])
+    assert expand_rational(Poly(f, [1]), den).frac.period_info() == (0, 2 ** 16 - 1)
 
 
 def test_expand_rational_rejects_zero_denominator():
