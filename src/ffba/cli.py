@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .cantor import ConstructionSchedule, dimension_lower_bound, measure_after_stages
 from .errors import FfbaError, InsufficientPrecisionError
@@ -319,6 +320,7 @@ def _cmd_certificate_check(args) -> int:
         "partial": report.partial,
         "stages": len(cert.stages),
         "truncated": cert.truncated,
+        **({"bound_exponent": report.bound_exponent} if report.ok else {}),
         "checks": [{"name": n, "ok": ok, "detail": detail}
                    for n, ok, detail in report.checks],
     }
@@ -330,6 +332,7 @@ def _cmd_certificate_check(args) -> int:
 # Parser assembly
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def build_parser() -> _Parser:
     root = _Parser(prog="ffba",
                    description="badly approximable targets over F_q((1/t))")

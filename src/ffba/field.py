@@ -13,7 +13,7 @@ checked exhaustively at construction.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import (ElementCodeError, MissingModulusError, NonPrimeError,
                      ReducibleModulusError)
@@ -216,10 +216,6 @@ class Field:
             n >>= 1
         return out
 
-    def frobenius(self, a: int) -> int:
-        """a -> a^p, the field's absolute Frobenius."""
-        return self.pow(a, self.p)
-
     # --- element coding ----------------------------------------------
 
     def coeffs_of(self, code: int) -> tuple[int, ...]:
@@ -243,9 +239,6 @@ class Field:
         if not isinstance(a, int) or not 0 <= a < self.q:
             raise ElementCodeError(f"{a!r} is not an element code of F_{self.q}")
         return a
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.q))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Field) and other.p == self.p

@@ -12,7 +12,8 @@ Ranks come from one lowest-pivot echelon of the rows in walk order
 (RowEchelon): row k is row g^s(k) of block s = assign(k), so the first i
 rows are the rows of M[i, j] and growing i only appends rows.  Every
 stored row has its own lowest nonzero position, so rank M[i, j] is the
-number of pivots below j.
+number of pivots below j.  Row k carries the unit tag e_k past the data,
+so each stored row's tag says which combination of rows it is.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ class HankelView:
         out = []
         for s, h in enumerate(self.block_heights()):
             # each row of a Hankel block is a window onto the same tail
-            tail = self.theta[s].frac_coeffs(h - 1 + self.cols) if self.cols else []
+            tail = self.theta[s].frac_coeffs(h - 1 + self.cols) if self.cols and h else []
             out.extend(tail[r:r + self.cols] for r in range(h))
         return out
 
@@ -166,8 +167,8 @@ class RowEchelon:
     append() adds the next row and returns its pivot (-1 when it reduces to
     zero) and its cover: how many columns its source guarantees (None when
     unbounded).  A row is cut at its cover, so pivots below the smallest
-    cover are exact.  widen() re-packs every row at a larger width from
-    cached tail bytes; tail codes are range-checked as they are cached."""
+    cover are exact.  widen() re-packs every row with its tag at a larger
+    width from cached tail bytes; tail codes are range-checked when cached."""
 
     def __init__(self, theta: tuple[LaurentSeries, ...], weight: GeneralizedWeight,
                  width: int):
@@ -185,8 +186,8 @@ class RowEchelon:
     def widen(self, width: int) -> None:
         self.width = width
         self._basis = _Basis(self.theta[0].field, width)
-        for s, r in self.rows:
-            self._basis.insert(self._packed(s, r))
+        for k, (s, r) in enumerate(self.rows):
+            self._basis.insert(self._packed(s, r, k))
 
     def full_rank_width(self, stop: int) -> int | None:
         """Least j <= stop with full row rank, one past the top pivot,
@@ -198,6 +199,11 @@ class RowEchelon:
             self.widen(min(2 * self.width, stop))
         return max(self.pivots, default=-1) + 1
 
+    def annihilator(self, j: int) -> bytes:
+        """For j = full_rank_width(...): the tag of the row with pivot j - 1,
+        which spans the left kernel of M[i, j - 1] (a line), in walk order."""
+        return (self.pivots[j - 1] >> (8 * self.width)).to_bytes(len(self.rows), "little")
+
     def append(self) -> tuple[int, int | None]:
         s, r = walk_row(self.weight, len(self.rows) + 1)
         self.rows.append((s, r))
@@ -205,9 +211,9 @@ class RowEchelon:
         cover = None if g is None else g - (r - 1)
         if cover is not None and (self.cover is None or cover < self.cover):
             self.cover = cover
-        return self._basis.insert(self._packed(s, r))[0], cover
+        return self._basis.insert(self._packed(s, r, len(self.rows) - 1))[0], cover
 
-    def _packed(self, s: int, r: int) -> int:
+    def _packed(self, s: int, r: int, k: int) -> int:
         tail = self._tails[s]
         src = self.theta[s]
         need = r - 1 + self.width
@@ -215,4 +221,5 @@ class RowEchelon:
             need = min(need, src.guarantee)
         if need > len(tail):
             tail += src.frac_bytes(need, len(tail) + 1)
-        return int.from_bytes(tail[r - 1:r - 1 + self.width], "little")
+        return int.from_bytes(tail[r - 1:r - 1 + self.width], "little") \
+            | 1 << (8 * (self.width + k))

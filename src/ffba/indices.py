@@ -17,7 +17,8 @@ of pivots below j among the first i rows.  So j_m is one past the top
 pivot once all i_{m-1} rows have pivots below the scan stop, and i_m is
 reached by appending rows until ell of them add no pivot below j_m.  The
 echelon starts narrow and doubles its width up to the scan stop: j_cutoff,
-the source guarantees, or the certified period bound.
+the source guarantees, or the certified period bound.  Each column scan
+that finds j_{m+1} also reads b_m off the echelon's row tags.
 
 A plateau is certified (j_m infinite) only when every coordinate's source
 has an eventual period: columns repeat once the scan passes the combined
@@ -71,11 +72,16 @@ class Stage:
 
 @dataclass
 class IndicesTrace:
+    """annihilators[m], for each stage m whose next column scan found j_{m+1}:
+    the left kernel of M[i_m, j_{m+1} - 1] in walk order (not in JSON or ==)."""
+
     ell: int
     weight: GeneralizedWeight
     stages: list[Stage] = dc_field(default_factory=list)
     j_cutoff: int = DEFAULT_J_CUTOFF
     stage_budget: int = 0
+    annihilators: dict[int, bytes] = dc_field(default_factory=dict, compare=False,
+                                              repr=False)
 
     @property
     def certified_rational(self) -> bool:
@@ -138,6 +144,7 @@ def indices_sequence(theta, weight: GeneralizedWeight | None = None,
                 if cert_width is not None and c >= cert_width else StageStatus.EXHAUSTED
             trace.stages.append(Stage(m, cur_i, None, status, c))
             return trace
+        trace.annihilators[m - 1] = ech.annihilator(j_found)
         # --- row scan: least i with rank deficiency ell at width j_found,
         # rank M[i, j_found] being the number of pivots below j_found
         i = rank = cur_i

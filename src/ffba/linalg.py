@@ -11,8 +11,8 @@ Two layers:
   annihilator (left_null_lexmin, tagged with the identity), the least
   solvable column count of every row prefix (least_solvable_columns,
   tagged with the right-hand side) and hankel.RowEchelon, whose pivots
-  give every rank of the rank walk and the square spectrum.  Appends never
-  rescan earlier vectors.
+  give every rank of the rank walk and the square spectrum, and whose tags
+  give the walk's annihilators.  Appends never rescan earlier vectors.
 * dense helpers -- RREF, solving, rank and null spaces, used where a
   particular solution or a whole null space basis is needed.
 

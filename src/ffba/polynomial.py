@@ -41,12 +41,6 @@ class Poly:
         return cls(field, (0, 1))
 
     @classmethod
-    def t_power(cls, field: Field, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("t_power needs n >= 0")
-        return cls(field, (0,) * n + (1,))
-
-    @classmethod
     def constant(cls, field: Field, c: int) -> "Poly":
         return cls(field, (c,))
 
@@ -82,9 +76,6 @@ class Poly:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
-
-    def is_monic(self) -> bool:
-        return not self.is_zero and self.coeffs[-1] == 1
 
     # --- arithmetic ----------------------------------------------------
 
@@ -123,10 +114,6 @@ class Poly:
                 if b:
                     out[i + j] = add(out[i + j], mul(a, b))
         return Poly(self.field, out)
-
-    def scale(self, c: int) -> "Poly":
-        mul = self.field.mul
-        return Poly(self.field, (mul(c, x) for x in self.coeffs))
 
     def shift(self, n: int) -> "Poly":
         """Multiply by t^n."""

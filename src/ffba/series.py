@@ -178,12 +178,9 @@ class RationalSource(CoefficientSource):
         self._period: tuple[int, int] | None = None
 
     def _run(self, r: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """Long division from remainder r: (digit, next remainder) forever."""
-        digit, sub = self._digit, self._sub
-        while True:
-            c = digit[r[-1]] if r else 0
-            r = tuple(map(getitem, sub[c], (0, *r))) if c else (0, *r)[:-1]
-            yield c, r
+        """Long division from remainder r: (digit, next remainder) forever;
+        the generator holds the tables, not self, so it makes no cycle."""
+        return _long_division(self._digit, self._sub, r)
 
     def coefficient(self, i: int) -> int:
         return self.digits(i, i)[0]
@@ -239,6 +236,14 @@ class RationalSource(CoefficientSource):
 
     def __hash__(self) -> int:
         return hash(("rational", self.num, self.den))
+
+
+def _long_division(digit: list[int], sub: list[list[list[int]]], r: tuple[int, ...]
+                   ) -> Iterator[tuple[int, tuple[int, ...]]]:
+    while True:
+        c = digit[r[-1]] if r else 0
+        r = tuple(map(getitem, sub[c], (0, *r))) if c else (0, *r)[:-1]
+        yield c, r
 
 
 class RuleSource(CoefficientSource):

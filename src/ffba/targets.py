@@ -3,10 +3,14 @@
 Each completed walk stage m (extent i_m, next threshold j_{m+1}) yields a
 nonzero vector b_m annihilating every column of the i_m-row matrix below
 j_{m+1}; any target digit vector with b_m . pi(gamma) != 0 then blocks all
-small-denominator solutions at that extent.  The construction fixes target
-digits stage by stage, always choosing inside the allowed set (exactly
-q^{gap-1} of the q^{gap} extensions are excluded per stage), and records
-everything needed for independent re-verification in a Certificate.
+small-denominator solutions at that extent.  b_m spans a kernel line read
+off the walk's echelon (IndicesTrace.annihilators); a certificate's last
+stage, whose kernel may be larger, runs hankel.left_null_vector.  The
+construction fixes target digits stage by stage, always choosing inside
+the allowed set (exactly q^{gap-1} of the q^{gap} extensions are excluded
+per stage), and records everything needed for independent re-verification
+in a Certificate.  The verifier trusts none of it: it sums b's packed rows
+for each annihilation and runs its own elimination for solvability.
 
 Policies: "lexmin" picks the lexicographically smallest valid extension
 (unconstrained digits default to 0); a seeded policy draws uniformly from
@@ -27,7 +31,7 @@ from .field import Field
 from .hankel import HankelView, default_weight, left_null_vector, walk_row
 from .indices import (DEFAULT_J_CUTOFF, MAX_J_CUTOFF, IndicesTrace, Stage,
                       StageStatus, indices_sequence)
-from .linalg import least_solvable_columns
+from .linalg import _Basis, least_solvable_columns
 from .series import LaurentSeries, as_vector, period_bound, series_from_json
 from .weights import GeneralizedWeight
 
@@ -235,6 +239,14 @@ def gamma_prefix(theta, weight: GeneralizedWeight | None = None,
     field = vec[0].field
     if trace is None:
         trace = indices_sequence(vec, w, ell, stage_budget, j_cutoff)
+    elif any(m - 1 not in trace.annihilators
+             for m, st in enumerate(trace.stages) if m and st.j is not None):
+        # a trace without the walk's annihilators (built by hand, say)
+        walked = indices_sequence(vec, trace.weight, trace.ell,
+                                  trace.stage_budget, trace.j_cutoff)
+        if walked.stages != trace.stages:
+            raise ValueError("the supplied trace differs from the walk of theta")
+        trace = walked
     recs: list[Stage] = trace.stages
     if len(recs) < 2:
         raise BudgetExhaustedError(
@@ -268,7 +280,11 @@ def gamma_prefix(theta, weight: GeneralizedWeight | None = None,
             width = nxt.scan_width
             status = "cutoff"
         i_m = cur.i
-        b = left_null_vector(vec, w, i_m, width)
+        final = status != "found" or nxt.i is None or m == len(recs) - 2
+        if final:   # its own elimination: a terminal kernel may exceed a line
+            b = left_null_vector(vec, w, i_m, width)
+        else:
+            b = _lexmin_of_line(field, w, trace.annihilators[m])
         assert b is not None, "rank below extent must leave an annihilator"
         g_now, g_prev = w.eval(i_m), w.eval(prev_i)
         known, new_positions = _split_positions(g_prev, g_now, digits)
@@ -282,7 +298,7 @@ def gamma_prefix(theta, weight: GeneralizedWeight | None = None,
                                 width=width, b=b,
                                 new_digits=tuple(new_digits)))
         prev_i = i_m
-        if status != "found" or nxt.i is None:
+        if final:
             truncated = status == "cutoff" or nxt.i is None
             break
     if not stages:
@@ -294,6 +310,14 @@ def gamma_prefix(theta, weight: GeneralizedWeight | None = None,
                        truncated=truncated, policy=policy)
 
 
+def _lexmin_of_line(field: Field, w: GeneralizedWeight, walk_b: bytes) -> tuple[int, ...]:
+    """The lex-least point of the line spanned by walk_b: walk_b in stacked
+    order (a stable sort of the walk rows by block), with a leading 1."""
+    b = [walk_b[k] for k in sorted(range(len(walk_b)), key=lambda k: w.assign(k + 1))]
+    inv = field.inv(next(c for c in b if c))
+    return tuple([field.mul(inv, c) for c in b])
+
+
 # ---------------------------------------------------------------------------
 # Verification
 # ---------------------------------------------------------------------------
@@ -301,11 +325,13 @@ def gamma_prefix(theta, weight: GeneralizedWeight | None = None,
 @dataclass
 class CertificateReport:
     """ok: every check passed.  partial: a column cap left some stage's
-    no-solution check short of its claimed width."""
+    no-solution check short of its claimed width.  bound_exponent: when ok,
+    the proved bound c(theta, gamma) >= q^bound_exponent, -(1 + ell)."""
 
     ok: bool
     checks: list[tuple[str, bool, str]]
     partial: bool = False
+    bound_exponent: int | None = None
 
     def failed(self) -> list[tuple[str, bool, str]]:
         return [c for c in self.checks if not c[1]]
@@ -345,12 +371,16 @@ def verify_certificate(cert: Certificate, j_cap: int | None = None) -> Certifica
     caps = [st.width if j_cap is None else max(0, min(st.width, j_cap))
             for st in stages]
     checked = [(st.i, cap) for st, ok, cap in zip(stages, shaped, caps) if ok]
+    # each coordinate's tail as bytes, long enough for every shaped stage
+    tails = [src.frac_bytes(max((g[s] - 1 + st.width for st, g, ok
+                                 in zip(stages, heights, shaped) if ok and g[s]), default=0))
+             for s, src in enumerate(vec)]
     least = None
     if checked and all(a.i <= b.i and a.width <= b.width
                        for a, b in zip(stages, stages[1:])):
         # stage m's rows are the first i_m rows in walk order, so one pass
         # at the last (largest) checked extent and width answers every stage
-        least = _least_solvable(cert, *checked[-1])
+        least = _least_solvable(cert, tails, *checked[-1])
     prev_i = prev_j = prev_width = 0
     g_prev = w.eval(0)
     for st, g_now, shape_ok, cap, past in zip(stages, heights, shaped, caps, past_data):
@@ -375,9 +405,7 @@ def verify_certificate(cert: Certificate, j_cap: int | None = None) -> Certifica
             if st.j_next is not None:
                 add(f"{tag}_width_matches_j", st.width == st.j_next - 1,
                     f"width {st.width}, j_next {st.j_next}")
-            rows = HankelView.of(vec, w, st.i, st.width).stacked_rows()
-            add(f"{tag}_annihilates",
-                not any(field.dot(st.b, col) for col in zip(*rows)),
+            add(f"{tag}_annihilates", _annihilates(field, w, tails, st.b, st.width),
                 f"width {st.width}")
             add(f"{tag}_digits_hit", field.dot(st.b, cert.gamma_stacked(st.i)) != 0,
                 "b . pi(gamma) must be nonzero")
@@ -406,21 +434,31 @@ def verify_certificate(cert: Certificate, j_cap: int | None = None) -> Certifica
             rebuilt[s].extend(st.new_digits[s])
     add("prefix_matches_stages",
         tuple(tuple(x) for x in rebuilt) == cert.gamma_digits, "")
-    return CertificateReport(all(c[1] for c in checks), checks,
-                             partial=any(cap < st.width for st, cap in zip(stages, caps)))
+    ok = all(c[1] for c in checks)
+    return CertificateReport(ok, checks, any(cap < st.width for st, cap in zip(stages, caps)),
+                             -(1 + cert.ell) if ok else None)
 
 
-def _least_solvable(cert: Certificate, n: int, width: int) -> list[int | None]:
+def _annihilates(field: Field, w: GeneralizedWeight, tails: list[bytes],
+                 b: tuple[int, ...], width: int) -> bool:
+    """b . M[len(b), width] = 0, summed as packed rows: row r (0-based) of
+    block s is tails[s][r:r + width]."""
+    rows = [tails[s][r:r + width] for s, h in enumerate(w.eval(len(b))) for r in range(h)]
+    basis, acc = _Basis(field, width), 0
+    for row, c in zip(rows, b):
+        if c:
+            acc = basis.sub_multiple(acc, int.from_bytes(row, "little"), c)
+    return acc == 0
+
+
+def _least_solvable(cert: Certificate, tails: list[bytes], n: int,
+                    width: int) -> list[int | None]:
     """least_solvable_columns over the first n rows of the certificate's
     matrix at the given width, in walk order (hankel.walk_row), so for
     every i <= n the first i rows are exactly the rows of M[i, width]."""
-    w = cert.weight
-    rows = HankelView.of(cert.theta, w, n, width).stacked_rows()
-    pi = cert.gamma_stacked(n)
-    offsets = w.offsets(n)
-    order = [offsets[s] + r - 1 for s, r in (walk_row(w, k) for k in range(1, n + 1))]
-    return least_solvable_columns(cert.field, [rows[o] for o in order],
-                                  [pi[o] for o in order], width)
+    walk = [walk_row(cert.weight, k) for k in range(1, n + 1)]
+    return least_solvable_columns(cert.field, [tails[s][r - 1:r - 1 + width] for s, r in walk],
+                                  [cert.gamma_digits[s][r - 1] for s, r in walk], width)
 
 
 # ---------------------------------------------------------------------------

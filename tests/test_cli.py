@@ -365,3 +365,41 @@ def test_text_format_is_default(capsys):
                        "--stages", "3")
     assert code == EXIT_OK
     assert "measure_num: 1" in out and "measure_den: 8" in out
+
+
+def test_repeated_calls_share_no_parsed_state(capsys):
+    """main builds its parser once; appended --theta/--gamma lists and
+    option defaults must still start afresh on every call."""
+    two = ("--theta", THETA, "--theta", "frac=periodic:[1]|[0,1]")
+    code, doc = run_json(capsys, "gamma", "--q", "2", *two, "--weight", "equal",
+                         "--ell", "1", "--seed", "3")
+    assert code == EXIT_OK and doc["d"] == 2 and doc["policy"] == "seeded-random:3"
+    code, doc = run_json(capsys, "gamma", "--q", "2", "--theta", THETA, "--ell", "1")
+    assert code == EXIT_OK and doc["d"] == 1 and doc["policy"] == "lexmin"
+    assert doc["gamma_prefix"] == [1, 0, 1]
+    code, doc = run_json(capsys, "verify", "--q", "2", *two, "--gamma", GAMMA,
+                         "--gamma", "frac=[1]", "--max-deg", "4")
+    assert code == EXIT_OK and len(doc["scan_caps"]) == 2
+    code, doc = run_json(capsys, "verify", "--q", "2", "--theta", THETA,
+                         "--gamma", GAMMA, "--max-deg", "8")
+    assert code == EXIT_OK and doc["value"] == {"exp": -2} and doc["witness"] == [0, 1]
+    code, out, _ = run(capsys, "measure", "--q", "2", "--ell", "2", "--stages", "3")
+    assert code == EXIT_OK and "measure_den: 8" in out      # text is the default again
+
+
+def test_certificate_check_states_the_proved_bound(tmp_path, capsys):
+    """t^-2 has c = q^-2: an ok report states bound_exponent -(1 + ell) in
+    JSON and text; a failing mutant states no bound."""
+    code, doc = run_json(capsys, "gamma", "--q", "2", "--theta", THETA, "--ell", "1")
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_json(capsys, "certificate-check", "--file", str(path))
+    assert code == EXIT_OK and out["bound_exponent"] == -2
+    code, text, _ = run(capsys, "certificate-check", "--file", str(path))
+    assert "bound_exponent: -2" in text.splitlines()
+    doc["stages"][1]["b"] = [1, 0, 1]
+    path.write_text(json.dumps(doc))
+    code, out = run_json(capsys, "certificate-check", "--file", str(path))
+    assert code == EXIT_VERIFY and "bound_exponent" not in out
+    code, text, _ = run(capsys, "certificate-check", "--file", str(path))
+    assert "bound_exponent" not in text

@@ -8,16 +8,19 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ffba import (Field, GeneralizedWeight, c_depth, extension_counts,
-                  gamma_prefix, indices_sequence, measure_after_stages,
-                  parse_series, parse_weight, qexp, schedule_from_certificate,
-                  survivor_cylinders, validate_tree_like, verify_certificate)
+from ffba import (Field, GeneralizedWeight, LaurentSeries, PeriodicSource, Poly, c_depth,
+                  extension_counts, gamma_prefix, indices_sequence,
+                  measure_after_stages, parse_series, parse_weight, qexp,
+                  schedule_from_certificate, survivor_cylinders, validate_tree_like,
+                  verify_certificate)
 from ffba.errors import CertificateFormatError
 from ffba.hankel import HankelView
-from ffba.targets import Certificate
+from ffba.linalg import nullspace
+from ffba.targets import Certificate, _lexmin_of_line
 
-from oracles import OracleField, count_hyperplane, dense_solvable
+from oracles import OracleField, count_hyperplane, dense_solvable, left_null_lexmin_rref
 
 
 def _series(f, digits):
@@ -55,7 +58,20 @@ def test_worked_certificate_verifies_and_pins_constant():
     rep = verify_certificate(cert)
     assert rep.ok and rep.failed() == []
     gamma = cert.gamma_series()[0]
-    assert c_depth(th, gamma, 8).value == qexp(-2)
+    assert c_depth(th, gamma, 8).value == qexp(-2) == qexp(rep.bound_exponent)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_only_an_ok_report_states_its_bound(ell):
+    """bound_exponent is -(1 + ell) when every check passed, and absent
+    from a failing mutant's report."""
+    th = parse_series("frac=periodic:[0,1]|[0]", Field(2))
+    cert = gamma_prefix(th, ell=ell)
+    rep = verify_certificate(cert)
+    assert rep.ok and rep.bound_exponent == -(1 + ell)
+    bad = dataclasses.replace(cert, gamma_digits=((0,) * len(cert.gamma_digits[0]),))
+    rep = verify_certificate(bad)
+    assert not rep.ok and rep.bound_exponent is None
 
 
 def test_gamma_series_matches_digits():
@@ -412,3 +428,120 @@ def test_infinite_certified_is_not_truncated():
     _, cert = _worked(2)
     assert not cert.truncated
     assert cert.stages[-1].status == "infinite"
+
+
+# ---------------------------------------------------------------------------
+# annihilators from the walk's echelon
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _walk_case(draw):
+    """theta over q in {2, 3, 4, 9} with ell in {1, 2, 3}: d = 1, or d = 2
+    under the equal or r:1/3,2/3 weight.  Coordinates are finite windows
+    leaning towards 0, so that scans often pass the echelon's starting
+    width and widen it, or short eventually periodic tails."""
+    f = Field.of_order(draw(st.sampled_from([2, 3, 4, 9])))
+    weight = draw(st.sampled_from([None, "equal", "r:1/3,2/3"]))
+    code = st.sampled_from([0, 0] + list(range(1, f.q)))
+    theta = []
+    for _ in range(1 if weight is None else 2):
+        if draw(st.booleans()):
+            n = draw(st.integers(8, 60))
+            theta.append(LaurentSeries.from_frac_coeffs(
+                f, draw(st.lists(code, min_size=n, max_size=n)), tail="finite"))
+        else:
+            pre = draw(st.lists(code, max_size=6))
+            per = draw(st.lists(code, min_size=1, max_size=6))
+            theta.append(LaurentSeries(f, Poly.zero(f), PeriodicSource(pre, per)))
+    w = parse_weight(weight, 2) if weight else None
+    return f, tuple(theta), w, draw(st.sampled_from([1, 2, 3])), draw(st.integers(1, 8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_walk_case())
+def test_walk_annihilators_are_the_lexmin_annihilators(case):
+    """Every column scan that finds j_{m+1} leaves b_m on the trace; in
+    stacked order with a leading 1 it is the lex-least left annihilator of
+    M[i_m, j_{m+1} - 1], and the certificate's found stages use it."""
+    f, theta, weight, ell, budget = case
+    tr = indices_sequence(theta, weight, ell, budget)
+    of = OracleField(f.p, f.k, list(f.modulus) if f.k > 1 else None)
+    found = {m - 1: s.j for m, s in enumerate(tr.stages) if m and s.j is not None}
+    assert set(tr.annihilators) == set(found)
+    want = {}
+    for m, j in found.items():
+        i = tr.stages[m].i
+        rows = HankelView.of(theta, tr.weight, i, j - 1).stacked_rows()
+        want[m] = tuple(left_null_lexmin_rref(of, rows, i))
+        assert _lexmin_of_line(f, tr.weight, tr.annihilators[m]) == want[m]
+    cert = gamma_prefix(theta, weight, ell, budget, trace=tr)
+    for cs in cert.stages:
+        if cs.status == "found":
+            assert cs.b == want[cs.m]
+
+
+@pytest.mark.parametrize("q, weight", [(2, None), (3, None), (3, "equal"),
+                                       (9, "r:1/3,2/3")])
+def test_trace_without_annihilators_is_rewalked(q, weight):
+    """A trace that carries no annihilators (built by hand, say) gives the
+    same certificate, by a walk with its own parameters; one whose stages
+    differ from that walk is refused."""
+    f = Field.of_order(q)
+    rng = random.Random(q)
+    d = 1 if weight is None else 2
+    vec = tuple(_series(f, [rng.randrange(q) for _ in range(40)]) for _ in range(d))
+    w = parse_weight(weight, d) if weight else None
+    tr = indices_sequence(vec, w, 1, 8)
+    bare = dataclasses.replace(tr, annihilators={})
+    assert bare == tr and "annihilators" not in json.dumps(tr.to_json())
+    cert = json.dumps(gamma_prefix(vec, w, trace=tr).to_json())
+    assert json.dumps(gamma_prefix(vec, w, trace=bare).to_json()) == cert
+    stages = list(tr.stages)
+    stages[2] = dataclasses.replace(stages[2], j=stages[2].j + 1)
+    with pytest.raises(ValueError):
+        gamma_prefix(vec, w, trace=dataclasses.replace(bare, stages=stages))
+
+
+# ---------------------------------------------------------------------------
+# the verifier's packed annihilation check
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _annihilation_case(draw):
+    """A certificate over q in {2, 3, 9}, d in {1, 2}, with one stage's b
+    replaced: either random, or a random point of the left kernel of the
+    stage matrix cut one column short of its width."""
+    q = draw(st.sampled_from([2, 3, 9]))
+    f = Field.of_order(q)
+    weight = draw(st.sampled_from([None, "equal", "r:1/3,2/3"]))
+    d = 1 if weight is None else 2
+    rng = random.Random(draw(st.integers(0, 1 << 30)))
+    vec = tuple(_series(f, [rng.randrange(q) for _ in range(draw(st.integers(12, 40)))])
+                for _ in range(d))
+    cert = gamma_prefix(vec, parse_weight(weight, d) if weight else None, 1, 6)
+    k = draw(st.integers(0, len(cert.stages) - 1))
+    stage = cert.stages[k]
+    b = [rng.randrange(q) for _ in range(stage.i)]
+    if stage.width and draw(st.booleans()):
+        rows = HankelView.of(vec, cert.weight, stage.i, stage.width - 1).stacked_rows()
+        b = [0] * stage.i
+        for v in nullspace(f, [list(col) for col in zip(*rows)], stage.i):
+            c = rng.randrange(q)
+            b = [f.add(x, f.mul(c, y)) for x, y in zip(b, v)]
+    return f, _tamper_stage(cert, k, b=tuple(b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_annihilation_case())
+def test_packed_annihilation_check_matches_dense_dots(case):
+    """Each stage's annihilates check (name, verdict and detail) matches
+    Field.dot of b against every column of the stacked rows."""
+    f, cert = case
+    want = {}
+    for stage in cert.stages:
+        rows = HankelView.of(cert.theta, cert.weight, stage.i, stage.width).stacked_rows()
+        want[f"stage{stage.m}_annihilates"] = (
+            not any(f.dot(stage.b, col) for col in zip(*rows)), f"width {stage.width}")
+    got = {name: (ok, detail) for name, ok, detail in verify_certificate(cert).checks
+           if name.endswith("_annihilates")}
+    assert got == want
