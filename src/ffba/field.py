@@ -127,9 +127,9 @@ class Field:
 
     @classmethod
     def of_order(cls, q: int, modulus: Sequence[int] | None = None) -> "Field":
-        """Construct F_q, factoring q = p^k."""
-        if q < 2:
-            raise ValueError(f"field order {q} must be at least 2")
+        """Construct F_q, factoring q = p^k once q is in range."""
+        if not 2 <= q <= _MAX_Q:
+            raise ValueError(f"field order {q} outside supported range 2..{_MAX_Q}")
         p = 2
         while p * p <= q:
             if q % p == 0:

@@ -9,8 +9,9 @@ stage, whose kernel may be larger, runs hankel.left_null_vector.  The
 construction fixes target digits stage by stage, always choosing inside
 the allowed set (exactly q^{gap-1} of the q^{gap} extensions are excluded
 per stage), and records everything needed for independent re-verification
-in a Certificate.  The verifier trusts none of it: it sums b's packed rows
-for each annihilation and runs its own elimination for solvability.
+in a Certificate.  The verifier trusts none of it: b . M = 0 (summed from
+packed rows) and b . pi(gamma) != 0 leave no covered system solvable, so it
+eliminates only to explain a failure.  Extension counts are closed-form.
 
 Policies: "lexmin" picks the lexicographically smallest valid extension
 (unconstrained digits default to 0); a seeded policy draws uniformly from
@@ -124,13 +125,13 @@ class Certificate:
     def from_json(cls, obj: dict) -> "Certificate":
         """Parse a certificate document, checking the presence, type and
         range of every field; malformed input raises CertificateFormatError."""
-        field = Field.of_order(_need(obj, "q"), obj.get("modulus"))
-        d = _need(obj, "d")
+        q, d = _need(obj, "q"), _need(obj, "d")
         try:
+            field = Field.of_order(q, obj.get("modulus"))
             weight = GeneralizedWeight.from_json(_need(obj, "weight", dict))
             theta = tuple(series_from_json(t, field) for t in _need(obj, "theta", list))
         except (KeyError, TypeError, IndexError, ValueError) as exc:
-            raise CertificateFormatError(f"malformed theta or weight: {exc!r}") from exc
+            raise CertificateFormatError(f"malformed field, theta or weight: {exc!r}") from exc
         if not d == weight.d == len(theta):
             raise CertificateFormatError(f"d={d} disagrees with the weight or theta")
 
@@ -179,47 +180,38 @@ def _need(doc, key: str, kind=int, lo: int | None = None, hi: int | None = None)
 # Construction
 # ---------------------------------------------------------------------------
 
-def _split_positions(g_prev: tuple[int, ...], g_now: tuple[int, ...],
-                     digits) -> tuple[list[int], list[int]]:
-    """The stacked vector at block heights g_now holding the digits fixed
-    at heights g_prev (zeros at the new positions), and the new positions,
-    in order."""
-    known = [0] * sum(g_now)
-    new_positions: list[int] = []
-    off = 0
+def _split(field: Field, b, g_prev: tuple[int, ...], g_now: tuple[int, ...],
+           digits) -> tuple[int, list[int]]:
+    """Stage m's view of b (stacked at block heights g_now): b . pi(gamma)
+    over the digits fixed at heights g_prev, and b's entries at the new
+    rows g_prev..g_now, block by block."""
+    fixed, b_new, off = 0, [], 0
     for s, h in enumerate(g_now):
-        for idx in range(h):
-            if idx < g_prev[s]:
-                known[off + idx] = digits[s][idx]
-            else:
-                new_positions.append(off + idx)
+        lo = min(g_prev[s], h)
+        fixed = field.add(fixed, field.dot(b[off:off + lo], digits[s][:lo]))
+        b_new.extend(b[off + lo:off + h])
         off += h
-    return known, new_positions
+    return fixed, b_new
 
 
-def _pick_extension(field: Field, b: tuple[int, ...], known: list[int],
-                    new_positions: list[int], policy: str,
+def _pick_extension(field: Field, fixed: int, b_new: list[int],
                     rng: random.Random | None) -> list[int]:
-    """Digits u for the new stacked positions with b . (known + u) != 0.
+    """Digits u for the new rows with fixed + b_new . u != 0.
 
-    known holds the stacked vector with zeros at the new positions.
     Lexmin: if the fixed part already hits, all-zero u is minimal;
-    otherwise a single 1 at the last new position where b is nonzero
-    (zeros anywhere later contribute nothing, so this is minimal).
+    otherwise a single 1 at the last new row where b is nonzero (zeros
+    anywhere later contribute nothing, so this is minimal).
     """
-    f = field
-    fixed = f.dot(b, known)
-    b_new = [b[pos] for pos in new_positions]
     if not any(b_new):
         raise AssertionError("annihilator has no support on the new rows")
     if rng is None:
-        u = [0] * len(new_positions)
+        u = [0] * len(b_new)
         if fixed == 0:
             u[max(k for k, c in enumerate(b_new) if c)] = 1
         return u
     while True:
-        u = [rng.randrange(f.q) for _ in new_positions]
-        if f.add(fixed, f.dot(b_new, u)) != 0:
+        u = [rng.randrange(field.q) for _ in b_new]
+        if field.add(fixed, field.dot(b_new, u)) != 0:
             return u
 
 
@@ -271,14 +263,10 @@ def gamma_prefix(theta, weight: GeneralizedWeight | None = None,
         if cur.i is None:
             break
         if nxt.j is not None:
-            width = nxt.j - 1
-            status = "found"
-        elif nxt.status is StageStatus.INFINITE_CERTIFIED:
-            width = nxt.scan_width
-            status = "infinite"
+            width, status = nxt.j - 1, "found"
         else:
             width = nxt.scan_width
-            status = "cutoff"
+            status = "infinite" if nxt.status is StageStatus.INFINITE_CERTIFIED else "cutoff"
         i_m = cur.i
         final = status != "found" or nxt.i is None or m == len(recs) - 2
         if final:   # its own elimination: a terminal kernel may exceed a line
@@ -287,8 +275,8 @@ def gamma_prefix(theta, weight: GeneralizedWeight | None = None,
             b = _lexmin_of_line(field, w, trace.annihilators[m])
         assert b is not None, "rank below extent must leave an annihilator"
         g_now, g_prev = w.eval(i_m), w.eval(prev_i)
-        known, new_positions = _split_positions(g_prev, g_now, digits)
-        u = iter(_pick_extension(field, b, known, new_positions, policy, rng))
+        fixed, b_new = _split(field, b, g_prev, g_now, digits)
+        u = iter(_pick_extension(field, fixed, b_new, rng))
         new_digits = []
         for s in range(w.d):
             add = [next(u) for _ in range(g_prev[s], g_now[s])]
@@ -340,12 +328,14 @@ class CertificateReport:
 def verify_certificate(cert: Certificate, j_cap: int | None = None) -> CertificateReport:
     """Re-verify a certificate from theta and the recorded data alone.
 
-    Beyond replaying the annihilation identities, the solvability claims
-    are checked directly: for every stage and every covered column count
-    j, the linear system M[i_m, j] n = pi(gamma) must have no solution.
-    Each stage also needs i_m <= j_m + ell (j_m the previous stage's j, 0
-    before the first), which is what makes c >= q^-(1+ell) follow.
-    Nothing from the construction run is trusted."""
+    For every stage and every covered column count j, the linear system
+    M[i_m, j] n = pi(gamma) must have no solution.  The stage's own checks
+    prove it: b . M[i_m, width] = 0 (annihilates) and b . pi(gamma) != 0
+    (digits_hit) rule out every j <= width.  An elimination runs only when
+    one of them fails, to name the least solvable column.  Each stage also
+    needs i_m <= j_m + ell (j_m the previous stage's j, 0 before the
+    first), which is what makes c >= q^-(1+ell) follow; a certificate
+    without stages fails.  Nothing from the construction run is trusted."""
     checks: list[tuple[str, bool, str]] = []
 
     def add(name: str, ok: bool, detail: str = "") -> None:
@@ -375,12 +365,8 @@ def verify_certificate(cert: Certificate, j_cap: int | None = None) -> Certifica
     tails = [src.frac_bytes(max((g[s] - 1 + st.width for st, g, ok
                                  in zip(stages, heights, shaped) if ok and g[s]), default=0))
              for s, src in enumerate(vec)]
+    monotone = all(a.i <= b.i and a.width <= b.width for a, b in zip(stages, stages[1:]))
     least = None
-    if checked and all(a.i <= b.i and a.width <= b.width
-                       for a, b in zip(stages, stages[1:])):
-        # stage m's rows are the first i_m rows in walk order, so one pass
-        # at the last (largest) checked extent and width answers every stage
-        least = _least_solvable(cert, tails, *checked[-1])
     prev_i = prev_j = prev_width = 0
     g_prev = w.eval(0)
     for st, g_now, shape_ok, cap, past in zip(stages, heights, shaped, caps, past_data):
@@ -405,17 +391,25 @@ def verify_certificate(cert: Certificate, j_cap: int | None = None) -> Certifica
             if st.j_next is not None:
                 add(f"{tag}_width_matches_j", st.width == st.j_next - 1,
                     f"width {st.width}, j_next {st.j_next}")
-            add(f"{tag}_annihilates", _annihilates(field, w, tails, st.b, st.width),
-                f"width {st.width}")
-            add(f"{tag}_digits_hit", field.dot(st.b, cert.gamma_stacked(st.i)) != 0,
-                "b . pi(gamma) must be nonzero")
-            _, new_positions = _split_positions(g_prev, g_now, cert.gamma_digits)
-            add(f"{tag}_new_row_support", any(st.b[pos] for pos in new_positions),
-                "annihilator must involve the new rows")
-            # direct non-solvability of every covered system
-            if least is None:
+            annihilates = _annihilates(field, w, tails, st.b, st.width)
+            add(f"{tag}_annihilates", annihilates, f"width {st.width}")
+            fixed, b_new = _split(field, st.b, g_prev, g_now, cert.gamma_digits)
+            d_new = [c for s, h in enumerate(g_now) for c in cert.gamma_digits[s][g_prev[s]:h]]
+            hit = field.add(fixed, field.dot(b_new, d_new)) != 0
+            add(f"{tag}_digits_hit", hit, "b . pi(gamma) must be nonzero")
+            add(f"{tag}_new_row_support", any(b_new), "annihilator must involve the new rows")
+            # non-solvability of every covered system
+            if not monotone:
                 add(f"{tag}_no_solution", False, "not checked: stages not monotone")
+            elif annihilates and hit:
+                # a solution n at any j <= width would give b . pi(gamma) = (b . M) n = 0
+                add(f"{tag}_no_solution", True, "")
             else:
+                # only to explain the failure: stage m's rows are the first i_m rows
+                # in walk order, so one pass at the last checked extent and width
+                # answers every stage
+                if least is None:
+                    least = _least_solvable(cert, tails, *checked[-1])
                 c = least[st.i]
                 solvable = c is not None and c <= cap
                 add(f"{tag}_no_solution", not solvable,
@@ -427,6 +421,8 @@ def verify_certificate(cert: Certificate, j_cap: int | None = None) -> Certifica
                     f"width {st.width} vs certification bound")
         prev_i, prev_width, g_prev = st.i, st.width, g_now
         prev_j = st.j_next if st.j_next is not None else prev_j
+    if not stages:   # gamma_prefix never emits one: no stage, no bound
+        add("stages_present", False, "a certificate needs at least one stage")
     # prefix consistency
     rebuilt = [[] for _ in range(cert.d)]
     for st in stages:
@@ -470,33 +466,20 @@ class ExtensionCount(NamedTuple):
     excluded: int
 
 
-def extension_counts(cert: Certificate, m: int,
-                     enum_cap: int = ENUM_CAP) -> ExtensionCount:
+def extension_counts(cert: Certificate, m: int) -> ExtensionCount:
     """Extension counts at stage m: q^gap total, q^{gap-1} excluded.
 
-    When q^gap fits under enum_cap the exclusion count is also re-derived
-    by brute-force enumeration over all extensions of the certificate's
-    own earlier digits (the hyperplane b . pi(gamma) = 0 meets exactly
-    q^{gap-1} of the q^gap extensions)."""
+    The excluded extensions are those on the hyperplane b . pi(gamma) = 0,
+    which meets exactly q^{gap-1} of them as long as b has support on the
+    stage's new rows; without it, AssertionError."""
     st = cert.stages[m]
-    q = cert.field.q
     prev_i = cert.stages[m - 1].i if m > 0 else 0
-    gap = st.i - prev_i
-    total = q ** gap
-    excluded = q ** (gap - 1)
-    if total <= enum_cap:
-        f = cert.field
-        known, new_positions = _split_positions(
-            cert.weight.eval(prev_i), cert.weight.eval(st.i), cert.gamma_digits)
-        fixed = f.dot(st.b, known)
-        b_new = [st.b[pos] for pos in new_positions]
-        count = sum(f.add(fixed, f.dot(b_new, u)) == 0
-                    for u in itertools.product(range(q), repeat=gap))
-        if count != excluded:
-            raise AssertionError(
-                f"stage {m}: enumeration found {count} excluded extensions, "
-                f"expected {excluded}")
-    return ExtensionCount(total, excluded)
+    w = cert.weight
+    _, b_new = _split(cert.field, st.b, w.eval(prev_i), w.eval(st.i), cert.gamma_digits)
+    if not any(b_new):
+        raise AssertionError(f"stage {m}: annihilator has no support on the new rows")
+    q, gap = cert.field.q, st.i - prev_i
+    return ExtensionCount(q ** gap, q ** (gap - 1))
 
 
 def schedule_from_certificate(cert: Certificate) -> ConstructionSchedule:
@@ -505,8 +488,8 @@ def schedule_from_certificate(cert: Certificate) -> ConstructionSchedule:
     return as_schedule(cert)
 
 
-def survivor_cylinders(cert: Certificate, stage_count: int | None = None,
-                       enum_cap: int = ENUM_CAP) -> list[CylinderSet]:
+def survivor_cylinders(cert: Certificate,
+                       stage_count: int | None = None) -> list[CylinderSet]:
     """Exhaustive survivor families [stage 0, ..., stage M] of the
     certificate's constraints, as stacked cylinder sets."""
     n = len(cert.stages) if stage_count is None else stage_count
@@ -520,7 +503,7 @@ def survivor_cylinders(cert: Certificate, stage_count: int | None = None,
     prev_i = 0
     for m in range(n):
         st = cert.stages[m]
-        if q ** st.i > enum_cap:
+        if q ** st.i > ENUM_CAP:
             raise TooLargeToEnumerateError(
                 f"stage extent {st.i} exceeds the enumeration cap")
         g_now = w.eval(st.i)

@@ -241,6 +241,20 @@ def test_certificate_check_rejects_lowered_ell(tmp_path, capsys):
             "detail": "i=1, previous j 0, ell=0"} in out["checks"]
 
 
+def test_huge_field_orders_are_usage_errors(tmp_path, capsys):
+    """A field order past the supported maximum, on the command line or in
+    a certificate document, is refused before it is factored."""
+    q = str(2 ** 61 - 1)
+    code, out, err = run(capsys, "expand", "--q", q, "--num", "[1]", "--den", "[1,1]")
+    assert code == EXIT_USAGE and "outside supported range" in err
+    code, doc = run_json(capsys, "gamma", "--q", "2", "--theta", THETA, "--ell", "1")
+    doc["q"] = int(q)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "certificate-check", "--file", str(path))
+    assert code == EXIT_USAGE and "malformed field" in err
+
+
 @pytest.mark.parametrize("extra", [2, 5])
 def test_certificate_check_fails_a_width_past_theta_data(tmp_path, capsys, extra):
     golden = Path(__file__).with_name("golden_certificates.json")

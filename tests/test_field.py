@@ -111,6 +111,14 @@ def test_constructor_validation():
         field_new(5, 2)              # no shipped default for q = 25
 
 
+@pytest.mark.parametrize("q", [257, 10 ** 12 + 39, 2 ** 61 - 1])
+def test_of_order_refuses_orders_past_the_limit_before_factoring(q):
+    """An order past 256 is refused before any trial division, so a huge
+    prime order is answered at once rather than factored."""
+    with pytest.raises(ValueError, match="outside supported range"):
+        Field.of_order(q)
+
+
 def test_of_order_factors_prime_powers():
     f = Field.of_order(8)
     assert (f.p, f.k, f.q) == (2, 3, 8)

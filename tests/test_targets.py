@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffba import (Field, GeneralizedWeight, LaurentSeries, PeriodicSource, Poly, c_depth,
-                  extension_counts, gamma_prefix, indices_sequence,
-                  measure_after_stages, parse_series, parse_weight, qexp,
+                  c_depth_weighted, extension_counts, gamma_prefix, indices_sequence,
+                  measure_after_stages, parse_series, parse_weight, qexp, register_rule,
                   schedule_from_certificate, survivor_cylinders, validate_tree_like,
                   verify_certificate)
-from ffba.errors import CertificateFormatError
+from ffba.errors import BudgetExhaustedError, CertificateFormatError
 from ffba.hankel import HankelView
 from ffba.linalg import nullspace
 from ffba.targets import Certificate, _lexmin_of_line
@@ -270,6 +270,29 @@ def test_j_cap_below_a_width_marks_the_report_partial():
     assert rep.ok and rep.partial
 
 
+@pytest.mark.parametrize("change", [{"q": 2 ** 61 - 1}, {"q": 12},
+                                    {"q": 4, "modulus": [1, 0, 1]},
+                                    {"q": 4, "modulus": "x"}])
+def test_unusable_fields_are_malformed(change):
+    """Any field the document's q and modulus cannot build is a format
+    error, not a bare ValueError (and a huge q is never factored)."""
+    _, cert = _worked()
+    doc = {**cert.to_json(), **change}
+    with pytest.raises(CertificateFormatError):
+        Certificate.from_json(doc)
+
+
+def test_a_certificate_without_stages_fails():
+    """With no stage there is no proof of any bound: t^-2 with its stages
+    stripped would claim c >= q^-2, but N = t^2 gives 0."""
+    _, cert = _worked(2)
+    doc = cert.to_json()
+    doc["stages"] = doc["gamma_prefix"] = []
+    rep = verify_certificate(Certificate.from_json(doc))
+    assert not rep.ok and rep.bound_exponent is None
+    assert [name for name, _, _ in rep.failed()] == ["stages_present"]
+
+
 def test_theta_codes_outside_the_field_are_malformed():
     _, cert = _worked()
     doc = cert.to_json()
@@ -326,11 +349,6 @@ def test_extension_counts_tamper_trips_internal_check():
     bad = _tamper_stage(cert, 1, b=(0, 0, 0))
     with pytest.raises(AssertionError):
         extension_counts(bad, 1)
-
-
-def test_extension_counts_cap_skips_enumeration():
-    _, cert = _worked(2)
-    assert extension_counts(cert, 1, enum_cap=0) == (4, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -545,3 +563,84 @@ def test_packed_annihilation_check_matches_dense_dots(case):
     got = {name: (ok, detail) for name, ok, detail in verify_certificate(cert).checks
            if name.endswith("_annihilates")}
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# soundness of the stage lemma, end to end
+# ---------------------------------------------------------------------------
+
+def _seeded_rule(name: str, q: int, seed: int) -> str:
+    """Register a rule source serving a seeded random digit stream."""
+    rng = random.Random(seed)
+    digits: list[int] = []
+
+    def rule(i: int) -> int:
+        while i > len(digits):
+            digits.append(rng.randrange(q))
+        return digits[i - 1]
+
+    register_rule(name, rule)
+    return f"rule:{name}"
+
+
+@st.composite
+def _soundness_case(draw):
+    """A certificate for random theta: q in {2, 3, 9}; d in {1, 2}; each
+    coordinate periodic, rational, rule or finite; equal, assign: or r:
+    weight; either digit policy; a column cutoff that keeps the scans
+    short."""
+    q = draw(st.sampled_from([2, 3, 9]))
+    d = draw(st.sampled_from([1, 2]))
+    f = Field.of_order(q)
+    code = st.integers(0, q - 1)
+
+    def codes(lo: int, hi: int) -> str:
+        return ",".join(map(str, draw(st.lists(code, min_size=lo, max_size=hi))))
+
+    theta = []
+    for s in range(d):
+        kind = draw(st.sampled_from(["periodic", "rational", "rule", "finite"]))
+        if kind == "periodic":
+            frac = f"periodic:[{codes(0, 3)}]|[{codes(1, 4)}]"
+        elif kind == "rational":
+            # the period, and so the plateau width, stays below 100 digits
+            deg = draw(st.integers(1, {2: 5, 3: 3, 9: 2}[q]))
+            den = codes(deg, deg) + "," + str(draw(st.integers(1, q - 1)))
+            frac = f"rational:[{codes(0, deg)}]/[{den}]"
+        elif kind == "rule":
+            seed = draw(st.integers(0, 1 << 30))
+            frac = _seeded_rule(f"soundness-{q}-{seed}", q, seed)
+        else:
+            frac = f"finite:[{codes(12, 40)}]"
+        theta.append(parse_series(f"frac={frac}", f))
+    weight = draw(st.sampled_from(["equal", "assign:1,2", "r:1/3,2/3"] if d == 2
+                                   else ["equal", "assign:1", "r:1"]))
+    policy = draw(st.sampled_from(["lexmin", "seeded-random"]))
+    try:
+        cert = gamma_prefix(tuple(theta), parse_weight(weight, d), draw(st.sampled_from([1, 2])),
+                            draw(st.integers(1, 5)), draw(st.integers(8, 96)), policy=policy)
+    except BudgetExhaustedError:
+        cert = None
+    return f, cert, draw(st.lists(code, max_size=12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_soundness_case())
+def test_verified_certificates_state_true_bounds(case):
+    """For every ok certificate, gamma = its prefix plus any tail: no N of
+    degree below the last stage's width comes closer than the stated
+    q^bound_exponent.  The scan stops where a finite coordinate's data
+    ends (a stage may cover columns past it when that coordinate has no
+    rows yet)."""
+    f, cert, tail = case
+    rep = None if cert is None else verify_certificate(cert)
+    if rep is None or not rep.ok:
+        return
+    max_deg = min([cert.stages[-1].width - 1]
+                  + [t.guarantee - 1 for t in cert.theta if t.guarantee is not None])
+    if max_deg < 0:
+        return
+    gamma = tuple(LaurentSeries.from_frac_coeffs(f, list(ds) + tail, tail="zero")
+                  for ds in cert.gamma_digits)
+    const = c_depth_weighted(cert.theta, gamma, cert.weight, max_deg)
+    assert const.value is None or const.value >= qexp(rep.bound_exponent)
