@@ -314,10 +314,9 @@ def _cmd_certificate_check(args) -> int:
         with open(args.file, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     cert = Certificate.from_json(payload)
-    report = verify_certificate(cert, j_cap=args.j_cap)
+    report = verify_certificate(cert)
     out = {
         "ok": report.ok,
-        "partial": report.partial,
         "stages": len(cert.stages),
         "truncated": cert.truncated,
         **({"bound_exponent": report.bound_exponent} if report.ok else {}),
@@ -431,9 +430,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("certificate-check",
                        help="re-verify a stored construction certificate")
     p.add_argument("--file", required=True, help="certificate JSON ('-' = stdin)")
-    p.add_argument("--j-cap", type=int,
-                   help="check solvability only up to this column count "
-                        "(the report then says partial: true)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=_cmd_certificate_check)
 

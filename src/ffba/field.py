@@ -150,24 +150,11 @@ class Field:
             self._add = [[(a + b) % p for b in range(q)] for a in range(q)]
             self._mul = [[(a * b) % p for b in range(q)] for a in range(q)]
         else:
-            def decode(code: int) -> list[int]:
-                out = []
-                for _ in range(k):
-                    out.append(code % p)
-                    code //= p
-                return out
-
-            def encode(vec: Sequence[int]) -> int:
-                code = 0
-                for c in reversed(list(vec) + [0] * (k - len(vec))):
-                    code = code * p + c
-                return code
-
-            vecs = [decode(c) for c in range(q)]
-            self._add = [[encode([(x + y) % p for x, y in zip(va, vb)])
+            vecs = [self.coeffs_of(c) for c in range(q)]
+            self._add = [[self.element([(x + y) % p for x, y in zip(va, vb)])
                           for vb in vecs] for va in vecs]
-            self._mul = [[encode(_pp_mulmod(_pp_trim(list(va)), _pp_trim(list(vb)),
-                                            self.modulus, p))
+            self._mul = [[self.element(_pp_mulmod(_pp_trim(list(va)), _pp_trim(list(vb)),
+                                                  self.modulus, p))
                           for vb in vecs] for va in vecs]
         self._neg = [self._add[a].index(0) for a in range(q)]
         self._inv = [0] * q

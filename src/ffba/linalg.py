@@ -8,11 +8,10 @@ Two layers:
   table otherwise.  Entries past a data width form a tag that row steps
   carry but pivots ignore, so a single pass yields the row combinations
   behind each reduced vector.  On it sit the lexicographically least left
-  annihilator (left_null_lexmin, tagged with the identity), the least
-  solvable column count of every row prefix (least_solvable_columns,
-  tagged with the right-hand side) and hankel.RowEchelon, whose pivots
-  give every rank of the rank walk and the square spectrum, and whose tags
-  give the walk's annihilators.  Appends never rescan earlier vectors.
+  annihilator (left_null_lexmin, tagged with the identity) and
+  hankel.RowEchelon, whose pivots give every rank of the rank walk and the
+  square spectrum, and whose tags give the walk's annihilators.  Appends
+  never rescan earlier vectors.
 * dense helpers -- RREF, solving, rank and null spaces, used where a
   particular solution or a whole null space basis is needed.
 
@@ -29,7 +28,7 @@ from typing import Sequence
 from .field import Field
 
 __all__ = ["RankEngine", "rref", "rank_dense", "solve", "nullspace",
-           "left_null_lexmin", "least_solvable_columns"]
+           "left_null_lexmin"]
 
 
 class _Basis:
@@ -248,27 +247,3 @@ def left_null_lexmin(field: Field, rows: Sequence[Sequence[int]],
             return list((v >> (8 * width)).to_bytes(nrows, "little"))
     return None
 
-
-def least_solvable_columns(field: Field, rows: Sequence[Sequence[int]],
-                           rhs: Sequence[int], width: int) -> list[int | None]:
-    """For k = 0..len(rows): the least c in 1..width such that some x
-    solves rows[:k], cut to their first c columns, times x = rhs[:k]; None
-    when no c <= width does.
-
-    One pass, and later rows never change earlier reduced rows.  Row k
-    reduces to a combination y_k of the first k rows (y_1..y_k span them
-    all) whose data has a pivot, a lowest nonzero position distinct from
-    the others', or vanishes.  The combinations that vanish on the first c
-    columns are spanned by the y_k without a pivot below c, so the system
-    is solvable exactly when those y_k give y_k . rhs = 0.  Each row
-    carries its rhs entry as a one-entry tag, which reduces to y_k . rhs.
-    """
-    basis = _Basis(field, width)
-    least: int | None = 1
-    out = [least if width else None]
-    for row, b in zip(rows, rhs):
-        p, v = basis.insert(basis.pack([*row, b]))
-        if v >> (8 * width) and least is not None:
-            least = max(least, p + 1) if p >= 0 else None
-        out.append(least if least is not None and least <= width else None)
-    return out

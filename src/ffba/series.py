@@ -161,7 +161,7 @@ class RationalSource(CoefficientSource):
 
     def __init__(self, num: Poly, den: Poly):
         if den.is_zero:
-            raise ZeroDivisionError("rational source with zero denominator")
+            raise ValueError("rational source with zero denominator")
         self.num = num
         self.den = den
         f = den.field

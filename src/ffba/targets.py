@@ -9,9 +9,9 @@ stage, whose kernel may be larger, runs hankel.left_null_vector.  The
 construction fixes target digits stage by stage, always choosing inside
 the allowed set (exactly q^{gap-1} of the q^{gap} extensions are excluded
 per stage), and records everything needed for independent re-verification
-in a Certificate.  The verifier trusts none of it: b . M = 0 (summed from
-packed rows) and b . pi(gamma) != 0 leave no covered system solvable, so it
-eliminates only to explain a failure.  Extension counts are closed-form.
+in a Certificate.  The verifier trusts none of it: per stage, b . M = 0
+(summed from packed rows) and b . pi(gamma) != 0 leave no covered system
+solvable, with no elimination.  Extension counts are closed-form.
 
 Policies: "lexmin" picks the lexicographically smallest valid extension
 (unconstrained digits default to 0); a seeded policy draws uniformly from
@@ -29,10 +29,10 @@ from .cantor import ConstructionSchedule, CylinderSet, as_schedule
 from .errors import (BudgetExhaustedError, CertificateFormatError,
                      InsufficientPrecisionError, TooLargeToEnumerateError)
 from .field import Field
-from .hankel import HankelView, default_weight, left_null_vector, walk_row
+from .hankel import HankelView, default_weight, left_null_vector
 from .indices import (DEFAULT_J_CUTOFF, MAX_J_CUTOFF, IndicesTrace, Stage,
                       StageStatus, indices_sequence)
-from .linalg import _Basis, least_solvable_columns
+from .linalg import _Basis
 from .series import LaurentSeries, as_vector, period_bound, series_from_json
 from .weights import GeneralizedWeight
 
@@ -156,6 +156,9 @@ class Certificate:
                             new_digits=per_coord(_need(st, "gamma_digits", list),
                                                  "gamma_digits"))
                   for st in _need(obj, "stages", list)]
+        for st in stages:
+            if st.status not in ("found", "infinite", "cutoff"):
+                raise CertificateFormatError(f"unknown stage status {st.status!r}")
         return cls(field=field, d=d, ell=_need(obj, "ell"), weight=weight,
                    theta=theta, stages=stages,
                    gamma_digits=per_coord(_need(obj, "gamma_prefix", list),
@@ -312,30 +315,29 @@ def _lexmin_of_line(field: Field, w: GeneralizedWeight, walk_b: bytes) -> tuple[
 
 @dataclass
 class CertificateReport:
-    """ok: every check passed.  partial: a column cap left some stage's
-    no-solution check short of its claimed width.  bound_exponent: when ok,
-    the proved bound c(theta, gamma) >= q^bound_exponent, -(1 + ell)."""
+    """ok: every check passed.  bound_exponent: when ok, the proved bound
+    c(theta, gamma) >= q^bound_exponent, -(1 + ell)."""
 
     ok: bool
     checks: list[tuple[str, bool, str]]
-    partial: bool = False
     bound_exponent: int | None = None
 
     def failed(self) -> list[tuple[str, bool, str]]:
         return [c for c in self.checks if not c[1]]
 
 
-def verify_certificate(cert: Certificate, j_cap: int | None = None) -> CertificateReport:
+def verify_certificate(cert: Certificate) -> CertificateReport:
     """Re-verify a certificate from theta and the recorded data alone.
 
     For every stage and every covered column count j, the linear system
     M[i_m, j] n = pi(gamma) must have no solution.  The stage's own checks
-    prove it: b . M[i_m, width] = 0 (annihilates) and b . pi(gamma) != 0
-    (digits_hit) rule out every j <= width.  An elimination runs only when
-    one of them fails, to name the least solvable column.  Each stage also
-    needs i_m <= j_m + ell (j_m the previous stage's j, 0 before the
-    first), which is what makes c >= q^-(1+ell) follow; a certificate
-    without stages fails.  Nothing from the construction run is trusted."""
+    prove it, stage by stage and without elimination: b . M[i_m, width] = 0
+    (annihilates) and b . pi(gamma) != 0 (digits_hit) rule out every
+    j <= width, and no_solution fails naming the premise that does not
+    hold.  Each stage also needs i_m <= j_m + ell (j_m the previous stage's
+    j, 0 before the first), which is what makes c >= q^-(1+ell) follow; a
+    certificate without stages fails.  Nothing from the construction run
+    is trusted."""
     checks: list[tuple[str, bool, str]] = []
 
     def add(name: str, ok: bool, detail: str = "") -> None:
@@ -358,18 +360,13 @@ def verify_certificate(cert: Certificate, j_cap: int | None = None) -> Certifica
     shaped = [g is not None and st.width <= MAX_J_CUTOFF and not past
               and all(len(cert.gamma_digits[s]) >= h for s, h in enumerate(g))
               for st, g, past in zip(stages, heights, past_data)]
-    caps = [st.width if j_cap is None else max(0, min(st.width, j_cap))
-            for st in stages]
-    checked = [(st.i, cap) for st, ok, cap in zip(stages, shaped, caps) if ok]
     # each coordinate's tail as bytes, long enough for every shaped stage
     tails = [src.frac_bytes(max((g[s] - 1 + st.width for st, g, ok
                                  in zip(stages, heights, shaped) if ok and g[s]), default=0))
              for s, src in enumerate(vec)]
-    monotone = all(a.i <= b.i and a.width <= b.width for a, b in zip(stages, stages[1:]))
-    least = None
     prev_i = prev_j = prev_width = 0
     g_prev = w.eval(0)
-    for st, g_now, shape_ok, cap, past in zip(stages, heights, shaped, caps, past_data):
+    for st, g_now, shape_ok, past in zip(stages, heights, shaped, past_data):
         tag = f"stage{st.m}"
         add(f"{tag}_b_nonzero", any(st.b), "")
         add(f"{tag}_i_step", st.i >= prev_i + cert.ell,
@@ -398,22 +395,10 @@ def verify_certificate(cert: Certificate, j_cap: int | None = None) -> Certifica
             hit = field.add(fixed, field.dot(b_new, d_new)) != 0
             add(f"{tag}_digits_hit", hit, "b . pi(gamma) must be nonzero")
             add(f"{tag}_new_row_support", any(b_new), "annihilator must involve the new rows")
-            # non-solvability of every covered system
-            if not monotone:
-                add(f"{tag}_no_solution", False, "not checked: stages not monotone")
-            elif annihilates and hit:
-                # a solution n at any j <= width would give b . pi(gamma) = (b . M) n = 0
-                add(f"{tag}_no_solution", True, "")
-            else:
-                # only to explain the failure: stage m's rows are the first i_m rows
-                # in walk order, so one pass at the last checked extent and width
-                # answers every stage
-                if least is None:
-                    least = _least_solvable(cert, tails, *checked[-1])
-                c = least[st.i]
-                solvable = c is not None and c <= cap
-                add(f"{tag}_no_solution", not solvable,
-                    f"solvable at j={c}" if solvable else "")
+            # a solution n at any j <= width would give b . pi(gamma) = (b . M) n = 0
+            proved = annihilates and hit
+            add(f"{tag}_no_solution", proved, "" if proved else
+                "not proved: " + ("b . pi(gamma) = 0" if annihilates else "b . M != 0"))
             if st.status == "infinite":
                 bound = period_bound(vec)
                 add(f"{tag}_plateau_certified",
@@ -431,8 +416,7 @@ def verify_certificate(cert: Certificate, j_cap: int | None = None) -> Certifica
     add("prefix_matches_stages",
         tuple(tuple(x) for x in rebuilt) == cert.gamma_digits, "")
     ok = all(c[1] for c in checks)
-    return CertificateReport(ok, checks, any(cap < st.width for st, cap in zip(stages, caps)),
-                             -(1 + cert.ell) if ok else None)
+    return CertificateReport(ok, checks, -(1 + cert.ell) if ok else None)
 
 
 def _annihilates(field: Field, w: GeneralizedWeight, tails: list[bytes],
@@ -445,16 +429,6 @@ def _annihilates(field: Field, w: GeneralizedWeight, tails: list[bytes],
         if c:
             acc = basis.sub_multiple(acc, int.from_bytes(row, "little"), c)
     return acc == 0
-
-
-def _least_solvable(cert: Certificate, tails: list[bytes], n: int,
-                    width: int) -> list[int | None]:
-    """least_solvable_columns over the first n rows of the certificate's
-    matrix at the given width, in walk order (hankel.walk_row), so for
-    every i <= n the first i rows are exactly the rows of M[i, width]."""
-    walk = [walk_row(cert.weight, k) for k in range(1, n + 1)]
-    return least_solvable_columns(cert.field, [tails[s][r - 1:r - 1 + width] for s, r in walk],
-                                  [cert.gamma_digits[s][r - 1] for s, r in walk], width)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ffba import Field
-from ffba.linalg import (RankEngine, least_solvable_columns, left_null_lexmin,
-                         nullspace, rank_dense, rref, solve)
+from ffba.linalg import (RankEngine, left_null_lexmin, nullspace, rank_dense, rref,
+                         solve)
 
 from oracles import (OracleField, dense_rank, dense_solvable,
                      left_annihilators, left_null_lexmin_rref)
@@ -178,18 +178,3 @@ def test_left_null_lexmin_matches_rref_route(case):
     assert left_null_lexmin(f, rows, len(rows)) == \
         left_null_lexmin_rref(_oracle(f), rows, len(rows))
 
-
-@settings(max_examples=100, deadline=None)
-@given(_matrices(max_rows=8, max_cols=8), st.data())
-def test_least_solvable_columns_matches_column_scan(case, data):
-    f, rows = case
-    of = _oracle(f)
-    width = len(rows[0]) if rows else 0
-    rhs = data.draw(st.lists(st.integers(0, f.q - 1), min_size=len(rows),
-                             max_size=len(rows)))
-    got = least_solvable_columns(f, rows, rhs, width)
-    for k in range(len(rows) + 1):
-        want = next((c for c in range(1, width + 1)
-                     if dense_solvable(of, [r[:c] for r in rows[:k]], rhs[:k])),
-                    None)
-        assert got[k] == want
