@@ -37,11 +37,12 @@ from .targets import (CertStage, Certificate, CertificateReport, ExtensionCount,
 from .verify import (ComparisonReport, DepthBoundedConstant, LiminfReport,
                      M0Report, MatrixConditionReport, WitnessReport,
                      alternation_pairs, c_depth, c_depth_weighted,
-                     c_liminf_depth, compare_weighted_constants,
+                     c_liminf_depth, compare_constants,
+                     compare_weighted_constants,
                      find_witness_small, liminf_structure, m0_structure,
                      make_liminf_theta, matrix_condition_check, merge_reports)
-from .weights import (GeneralizedWeight, compare_constants, deviation_range,
-                      induced_weight, parse_weight, weight_eval)
+from .weights import (GeneralizedWeight, deviation_range, induced_weight,
+                      parse_weight, weight_eval)
 
 __version__ = "0.1.0"
 

@@ -32,28 +32,6 @@ class Poly:
     def zero(cls, field: Field) -> "Poly":
         return cls(field, ())
 
-    @classmethod
-    def one(cls, field: Field) -> "Poly":
-        return cls(field, (1,))
-
-    @classmethod
-    def t(cls, field: Field) -> "Poly":
-        return cls(field, (0, 1))
-
-    @classmethod
-    def constant(cls, field: Field, c: int) -> "Poly":
-        return cls(field, (c,))
-
-    @classmethod
-    def parse(cls, field: Field, text: str) -> "Poly":
-        """Parse a coefficient list like "1,0,1" or "[1,0,1]", constant first."""
-        text = text.strip()
-        if text.startswith("[") and text.endswith("]"):
-            text = text[1:-1]
-        if not text:
-            return cls.zero(field)
-        return cls(field, (int(tok) for tok in text.split(",")))
-
     # --- basic structure ----------------------------------------------
 
     @property
@@ -114,12 +92,6 @@ class Poly:
                 if b:
                     out[i + j] = add(out[i + j], mul(a, b))
         return Poly(self.field, out)
-
-    def shift(self, n: int) -> "Poly":
-        """Multiply by t^n."""
-        if self.is_zero:
-            return self
-        return Poly(self.field, (0,) * n + self.coeffs)
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         self._same_field(other)

@@ -403,20 +403,11 @@ def as_vector(theta) -> tuple[LaurentSeries, ...]:
 # Operations
 # ---------------------------------------------------------------------------
 
-def expand_rational(num: Poly, den: Poly, prec: int = 0) -> LaurentSeries:
-    """num/den as polynomial part plus an unbounded rational tail.
-
-    prec forces that many tail coefficients to be materialized up front;
-    the source remains unbounded either way.
-    """
+def expand_rational(num: Poly, den: Poly) -> LaurentSeries:
+    """num/den as polynomial part plus an unbounded rational tail."""
     if den.is_zero:
         raise ZeroDivisionError("expansion of division by zero")
-    poly_part = num // den
-    src = RationalSource(num, den)
-    series = LaurentSeries(num.field, poly_part, src)
-    if prec > 0:
-        src.coefficient(prec)
-    return series
+    return LaurentSeries(num.field, num // den, RationalSource(num, den))
 
 
 def frac_abs(theta: LaurentSeries, search_limit: int):
@@ -572,6 +563,8 @@ def parse_series(text: str, field: Field | None = None) -> LaurentSeries:
 
 
 def source_from_json(field: Field, obj: dict) -> CoefficientSource:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a source must be a JSON object, not {obj!r}")
     kind = obj.get("kind")
     if kind == "finite":
         return FiniteSource(obj["coeffs"])
@@ -585,6 +578,8 @@ def source_from_json(field: Field, obj: dict) -> CoefficientSource:
 
 
 def series_from_json(obj: dict, field: Field | None = None) -> LaurentSeries:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a series must be a JSON object, not {obj!r}")
     if field is None:
         field = Field.of_order(int(obj["q"]), obj.get("modulus"))
     elif "q" in obj and int(obj["q"]) != field.q:

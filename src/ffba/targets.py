@@ -234,6 +234,8 @@ def gamma_prefix(theta, weight: GeneralizedWeight | None = None,
     field = vec[0].field
     if trace is None:
         trace = indices_sequence(vec, w, ell, stage_budget, j_cutoff)
+    elif trace.ell != ell or trace.weight != w:
+        raise ValueError("the supplied trace was walked under another ell or weight")
     elif any(m - 1 not in trace.annihilators
              for m, st in enumerate(trace.stages) if m and st.j is not None):
         # a trace without the walk's annihilators (built by hand, say)

@@ -18,7 +18,9 @@ n_h != 0.  Per degree a target exponent descends while one echelon of
 these rows stays solvable; the witness is the least point of the last
 affine solution set, and skipped candidates are counted exactly by
 inclusion-exclusion over such sets.  The enumeration it replaced lives on
-as the test oracle tests/oracles.odometer_scan.
+as the test oracle tests/oracles.odometer_scan.  Every constant is one such
+scan under one weight, after one check of gamma against theta (_constant);
+compare_weighted_constants runs it once per weight.
 
 Only fractional parts matter throughout: N times the polynomial part of
 theta is itself a polynomial and drops out of <.>, as does gamma's.
@@ -47,7 +49,8 @@ __all__ = ["DepthBoundedConstant", "c_depth", "c_depth_weighted",
            "WitnessReport", "find_witness_small",
            "M0Report", "m0_structure", "alternation_pairs",
            "LiminfReport", "liminf_structure", "make_liminf_theta",
-           "ComparisonReport", "compare_weighted_constants"]
+           "ComparisonReport", "compare_weighted_constants",
+           "compare_constants"]
 
 DEFAULT_UNCERTIFIED_SCAN = 64
 
@@ -313,32 +316,53 @@ def _descend(field: Field, ctxs: list[_Coord], h: int, exp, bound, sets):
 
 def _scan_range(field: Field, contexts: list[_Coord],
                 deg_lo: int, deg_hi: int, exponents) -> tuple:
-    """Shared search core, by linear algebra over each degree.
+    """Search core, by linear algebra over each degree.
 
-    exponents(h) must return, per tracked variant, the per-coordinate
-    weight exponents at degree h.  Returns per variant
-    (best_exponent, best_digits, best_depths) plus the skip count of the
-    first variant and a zero witness if one was certified.  Ties keep the
-    lower degree, then the lexicographically least (n_h, ..., n_0): the
-    first minimiser in the order of the enumeration this replaces
-    (tests/oracles.odometer_scan)."""
-    n_var = len(exponents(0))
-    best: list = [None] * n_var
-    best_digits: list[tuple[int, ...] | None] = [None] * n_var
-    best_depths: list[tuple[int, ...] | None] = [None] * n_var
+    exponents(h) must return the per-coordinate weight exponents at
+    degree h.  Returns (best_exponent, best_digits, best_depths, skipped);
+    for a certified zero witness best_exponent is ZERO, with no depths and
+    nothing skipped.  Ties keep the lower degree, then the
+    lexicographically least (n_h, ..., n_0): the first minimiser in the
+    order of the enumeration this replaces (tests/oracles.odometer_scan)."""
+    best = best_digits = best_depths = None
     skipped = 0
     for h in range(deg_lo, deg_hi + 1):
-        for v, exp in enumerate(exponents(h)):
-            sets = _prefix_sets(field, contexts, h, exp)
-            if v == 0:
-                skipped -= sum(sign * p.count() for sign, p in sets[1:])
-            found = _descend(field, contexts, h, exp, best[v], sets)
-            if found is None:
-                continue
-            if found[0] is ZERO:
-                return best, best_digits, best_depths, skipped, tuple(found[1])
-            best[v], best_digits[v], best_depths[v] = found[0], tuple(found[1]), found[2]
-    return best, best_digits, best_depths, skipped, None
+        exp = exponents(h)
+        sets = _prefix_sets(field, contexts, h, exp)
+        skipped -= sum(sign * p.count() for sign, p in sets[1:])
+        found = _descend(field, contexts, h, exp, best, sets)
+        if found is None:
+            continue
+        if found[0] is ZERO:
+            return ZERO, tuple(found[1]), None, 0
+        best, best_digits, best_depths = found[0], tuple(found[1]), found[2]
+    return best, best_digits, best_depths, skipped
+
+
+def _qval(e) -> QVal | None:
+    """A scan exponent as a value: ZERO and None pass through."""
+    return qexp(e) if e is not None and e is not ZERO else e
+
+
+def _constant(vec: tuple[LaurentSeries, ...], gamma, exponents, max_deg: int,
+              prec: int | None, deg_lo: int) -> DepthBoundedConstant:
+    """The scan behind every exact constant: gamma must match theta's
+    coordinate count and field, then degrees deg_lo..max_deg are scanned
+    under the weight exponents(h)."""
+    gvec = as_vector(gamma)
+    if len(gvec) != len(vec):
+        raise ValueError(f"target has {len(gvec)} coordinates, expected {len(vec)}")
+    field = vec[0].field
+    if gvec[0].field.q != field.q:
+        raise ValueError("theta and gamma live over different fields")
+    contexts = _coord_contexts(vec, gvec, max_deg, prec)
+    best, digits, depths, skipped = _scan_range(field, contexts, deg_lo,
+                                                max_deg, exponents)
+    return DepthBoundedConstant(
+        value=_qval(best), witness=Poly(field, digits) if digits else None,
+        witness_depths=depths, deg_lo=deg_lo, deg_hi=max_deg,
+        scan_caps=tuple(c.cap for c in contexts),
+        precision_limited=skipped > 0, skipped=skipped, zero_witness=best is ZERO)
 
 
 def c_depth_weighted(theta, gamma, weight: GeneralizedWeight | None = None,
@@ -347,35 +371,8 @@ def c_depth_weighted(theta, gamma, weight: GeneralizedWeight | None = None,
     """Exact minimum of max_s q^{g^s(deg N)} |<N theta^s - gamma^s>| over
     nonzero N with deg_lo <= deg N <= max_deg."""
     vec = as_vector(theta)
-    w = default_weight(vec, weight)
-    gvec = as_vector(gamma)
-    if len(gvec) != w.d:
-        raise ValueError(f"target has {len(gvec)} coordinates, expected {w.d}")
-    field = vec[0].field
-    if gvec[0].field.q != field.q:
-        raise ValueError("theta and gamma live over different fields")
-    contexts = _coord_contexts(vec, gvec, max_deg, prec)
-
-    def exponents(h: int):
-        return (w.eval(h),)
-
-    best, bd, bdep, skipped, zero_digits = _scan_range(
-        field, contexts, deg_lo, max_deg, exponents)
-    caps = tuple(c.cap for c in contexts)
-    if zero_digits is not None:
-        return DepthBoundedConstant(value=ZERO,
-                                    witness=Poly(field, zero_digits),
-                                    witness_depths=None, deg_lo=deg_lo,
-                                    deg_hi=max_deg, scan_caps=caps,
-                                    precision_limited=False, skipped=0,
-                                    zero_witness=True)
-    value = qexp(best[0]) if best[0] is not None else None
-    return DepthBoundedConstant(value=value,
-                                witness=Poly(field, bd[0]) if bd[0] else None,
-                                witness_depths=bdep[0], deg_lo=deg_lo,
-                                deg_hi=max_deg, scan_caps=caps,
-                                precision_limited=skipped > 0, skipped=skipped,
-                                zero_witness=False)
+    return _constant(vec, gamma, default_weight(vec, weight).eval, max_deg,
+                     prec, deg_lo)
 
 
 def c_depth(theta: LaurentSeries, gamma: LaurentSeries, max_deg: int,
@@ -393,9 +390,8 @@ def c_liminf_depth(theta, gamma, deg_lo: int, deg_hi: int,
     Windowed minima reveal subsequence behaviour: a target with small
     liminf but large limsup has windows of both kinds.  None means every
     candidate in the window was precision-excluded."""
-    report = c_depth_weighted(theta, gamma, weight, deg_hi, prec=prec,
-                              deg_lo=deg_lo)
-    return report.value
+    return c_depth_weighted(theta, gamma, weight, deg_hi, prec=prec,
+                            deg_lo=deg_lo).value
 
 
 def merge_reports(*reports: DepthBoundedConstant) -> DepthBoundedConstant:
@@ -466,8 +462,7 @@ def matrix_condition_check(theta, gamma,
     g_big = w.eval(big)
     series_ok = all(poly_times_series_frac(n, vec[s], need) == gvec[s].frac_coeffs(need)
                     for s, need in enumerate(g_big) if need)
-    view = HankelView.of(vec, w, big, h + 1)
-    rows = view.stacked_rows()
+    rows = HankelView.of(vec, w, big, h + 1).stacked_rows()
     field = vec[0].field
     nvec = [n.coefficient(k) for k in range(h + 1)]
     pi = [c for s, need in enumerate(g_big) for c in gvec[s].frac_coeffs(need)]
@@ -501,11 +496,9 @@ def find_witness_small(theta: LaurentSeries, gamma: LaurentSeries,
     vec = as_vector(theta)
     w = default_weight(vec, None)
     field = vec[0].field
-    gam = gamma
     for j in range(1, max_m + 1):
-        view = HankelView.of(vec, w, j, j)
-        rows = view.stacked_rows()
-        rhs = list(gam.frac_coeffs(j))
+        rows = HankelView.of(vec, w, j, j).stacked_rows()
+        rhs = list(gamma.frac_coeffs(j))
         if any(rhs):
             sol = solve(field, rows, rhs)
             if sol is None or not any(sol):
@@ -518,21 +511,12 @@ def find_witness_small(theta: LaurentSeries, gamma: LaurentSeries,
         top = max(k for k, c in enumerate(sol) if c)
         witness = Poly(field, sol[: top + 1])
         bound = qexp(witness.deg - j - 1)
-        value: QVal | None
-        exact = False
         try:
-            ctx = _coord_contexts(vec, (gam,), witness.deg, None)[0]
-            i0 = _depths(field, [ctx], list(witness.coeffs))[0]
-            if i0:
-                value = qexp(witness.deg - i0)
-                exact = True
-            elif ctx.certified:
-                value = ZERO
-                exact = True
-            else:
-                value = None
+            ctx = _coord_contexts(vec, (gamma,), witness.deg, None)
+            e = _value(ctx, (witness.deg,), _depths(field, ctx, list(witness.coeffs)))
         except InsufficientPrecisionError:
-            value = None
+            e = None
+        value, exact = _qval(e), e is not None
         return WitnessReport(True, witness, j, bound, value, exact)
     return WitnessReport(False, None, 0, None, None, False)
 
@@ -588,11 +572,7 @@ def m0_structure(theta, max_m: int,
                  weight: GeneralizedWeight | None = None) -> M0Report:
     """Invertibility of the square stacked matrices up to size max_m."""
     spectrum = square_invertibility_spectrum(theta, max_m, weight)
-    m0 = None
-    for m, ok in enumerate(spectrum, start=1):
-        if not ok:
-            m0 = m
-            break
+    m0 = next((m for m, ok in enumerate(spectrum, start=1) if not ok), None)
     alternations = alternation_pairs(spectrum)
     return M0Report(spectrum=spectrum, m0=m0, depth=max_m,
                     pattern_consistent=not alternations,
@@ -653,17 +633,11 @@ class ComparisonReport:
 
     @property
     def real_value(self) -> QVal | None:
-        if self.zero_witness:
-            return ZERO
-        return qexp(self.real_exponent) if self.real_exponent is not None \
-            else None
+        return ZERO if self.zero_witness else _qval(self.real_exponent)
 
     @property
     def induced_value(self) -> QVal | None:
-        if self.zero_witness:
-            return ZERO
-        return qexp(self.induced_exponent) \
-            if self.induced_exponent is not None else None
+        return ZERO if self.zero_witness else _qval(self.induced_exponent)
 
     def to_json(self) -> dict:
         return {
@@ -683,34 +657,35 @@ class ComparisonReport:
 
 def compare_weighted_constants(theta, gamma, r, max_deg: int,
                                prec: int | None = None) -> ComparisonReport:
-    """One shared scan comparing the real-weight quantity (exponent r^s h)
-    with the induced integer-weight quantity (exponent g_r^s(h)).
+    """The real-weight quantity (exponent r^s h) against the induced
+    integer-weight quantity (exponent g_r^s(h)), one scan each.
 
     Per candidate the two exponent vectors differ by less than 1 in every
     coordinate (the rounding deviation), so the two minima differ by less
-    than d in the q-logarithm; the report checks that."""
+    than d in the q-logarithm; the report checks that.  A zero witness
+    does not depend on the weight, so it ends the comparison after the
+    real scan."""
     vec = as_vector(theta)
-    gvec = as_vector(gamma)
     w = GeneralizedWeight.from_real(r)
     if w.d != len(vec):
         raise ValueError(f"weight has {w.d} coordinates, theta {len(vec)}")
-    field = vec[0].field
-    contexts = _coord_contexts(vec, gvec, max_deg, prec)
-    rfracs = w.real
-
-    def exponents(h: int):
-        return tuple(rs * h for rs in rfracs), w.eval(h)
-
-    best, _bd, _bdep, skipped, zero_digits = _scan_range(
-        field, contexts, 0, max_deg, exponents)
-    if zero_digits is not None:
+    real = _constant(vec, gamma, lambda h: tuple(rs * h for rs in w.real),
+                     max_deg, prec, 0)
+    if real.zero_witness:
         return ComparisonReport(None, None, Fraction(0), w.d, True, 0,
                                 zero_witness=True)
-    real_e, ind_e = best
+    induced = _constant(vec, gamma, w.eval, max_deg, prec, 0).value
+    real_e = Fraction(real.value.exponent) if real.value is not None else None
+    ind_e = induced.exponent if induced is not None else None
     if real_e is None or ind_e is None:
-        return ComparisonReport(
-            Fraction(real_e) if real_e is not None else None,
-            ind_e, None, w.d, False, skipped)
-    diff = abs(Fraction(real_e) - Fraction(ind_e))
-    return ComparisonReport(Fraction(real_e), int(ind_e), diff, w.d,
-                            diff < w.d, skipped)
+        return ComparisonReport(real_e, ind_e, None, w.d, False, real.skipped)
+    diff = abs(real_e - ind_e)
+    return ComparisonReport(real_e, ind_e, diff, w.d, diff < w.d, real.skipped)
+
+
+def compare_constants(theta, gamma, r, max_deg: int, prec: int | None = None):
+    """Depth-limited approximation constants under a real weight r and its
+    induced integer weight, returned as a (real-exponent, integer-exponent)
+    QVal pair.  Their log-q exponents differ by less than d."""
+    report = compare_weighted_constants(theta, gamma, r, max_deg, prec)
+    return report.real_value, report.induced_value

@@ -21,18 +21,19 @@ from itertools import accumulate
 from typing import Sequence
 
 __all__ = ["GeneralizedWeight", "parse_real_weight", "parse_weight",
-           "weight_eval", "induced_weight", "deviation_range",
-           "compare_constants"]
+           "weight_eval", "induced_weight", "deviation_range"]
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise ValueError(f"cannot read {x!r} as an exact rational")
+    """An exact rational from a Fraction, an int, an "n/m" string or an
+    (n, m) pair of ints."""
+    pair = isinstance(x, tuple) and len(x) == 2 and all(isinstance(v, int) for v in x)
+    if not (pair or isinstance(x, (Fraction, int, str))):
+        raise ValueError(f"cannot read {x!r} as an exact rational")
+    try:
+        return Fraction(*x) if pair else Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"{x!r} has a zero denominator") from None
 
 
 def parse_real_weight(items) -> tuple[Fraction, ...]:
@@ -120,9 +121,6 @@ class GeneralizedWeight:
         self._extend(h)
         return self._cum[h]
 
-    def component(self, s: int, h: int) -> int:
-        return self.eval(h)[s - 1]
-
     def offsets(self, h: int) -> tuple[int, ...]:
         """Stacked block offsets: offset_s = sum of g^{s'}(h) for s' < s."""
         return tuple(accumulate(self.eval(h)[:-1], initial=0))
@@ -144,7 +142,7 @@ class GeneralizedWeight:
     def from_json(cls, obj: dict) -> "GeneralizedWeight":
         if obj["kind"] == "assign":
             return cls.from_assignment(obj["d"], obj["cycle"])
-        return cls.from_real([Fraction(n, m) for n, m in obj["r"]])
+        return cls.from_real([_as_fraction((n, m)) for n, m in obj["r"]])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GeneralizedWeight) and other.d == self.d
@@ -200,13 +198,3 @@ def deviation_range(r, h_max: int) -> tuple[Fraction, Fraction]:
             lo = min(lo, dev)
             hi = max(hi, dev)
     return lo, hi
-
-
-def compare_constants(theta, gamma, r, max_deg: int,
-                      prec: int | None = None):
-    """Depth-limited approximation constants under a real weight r and its
-    induced integer weight, returned as a (real-exponent, integer-exponent)
-    QVal pair.  Their log-q exponents differ by less than d."""
-    from .verify import compare_weighted_constants
-    report = compare_weighted_constants(theta, gamma, r, max_deg, prec)
-    return report.real_value, report.induced_value

@@ -299,9 +299,23 @@ def _zero_denominator(doc):
     doc["theta"][0]["frac"] = {"kind": "rational", "num": [1], "den": [0]}
 
 
+def _weight_zero_denominator(doc):
+    doc["weight"] = {"kind": "real", "d": 1, "r": [[1, 0]]}
+
+
+def _theta_not_an_object(doc):
+    doc["theta"] = [[0]]
+
+
+def _frac_not_an_object(doc):
+    doc["theta"][0]["frac"] = 3
+
+
 @pytest.mark.parametrize("mutate", [_b_out_of_range, _digit_out_of_range,
                                     _width_missing, _ell_not_int, _d_disagrees,
-                                    _unknown_status, _zero_denominator])
+                                    _unknown_status, _zero_denominator,
+                                    _weight_zero_denominator, _theta_not_an_object,
+                                    _frac_not_an_object])
 def test_certificate_check_rejects_malformed_input(tmp_path, capsys, mutate):
     code, doc = run_json(capsys, "gamma", "--q", "2", "--theta", THETA,
                          "--ell", "1")
@@ -335,6 +349,7 @@ def test_usage_errors_exit_one(capsys):
     ["dimension", "--q", "1", "--ell", "2"],
     ["verify", "--q", "2", "--theta", THETA, "--gamma", GAMMA, "--max-deg", "-3"],
     ["hankel", "--q", "2", "--theta", "frac=rational:[1]/[0]", "--rows", "2", "--cols", "2"],
+    ["weights", "--d", "2", "--weight", "r:1/0,1"],
 ])
 def test_out_of_range_input_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -137,6 +137,23 @@ def test_trace_reuse_skips_rewalk():
     assert cert.stage_extents() == [1, 3]
 
 
+def test_trace_walked_under_another_ell_or_weight_is_refused():
+    """The certificate states the trace's stages under the ell and weight
+    asked for, so those must match; a trace walked at another budget is
+    fine."""
+    f = Field(2)
+    th = parse_series("frac=periodic:[0,1]|[0]", f)
+    with pytest.raises(ValueError, match="another ell or weight"):
+        gamma_prefix(th, ell=2, trace=indices_sequence(th, ell=1))
+    vec = (th, parse_series("frac=periodic:[0,0,1]|[0]", f))
+    with pytest.raises(ValueError, match="another ell or weight"):
+        gamma_prefix(vec, parse_weight("r:1/3,2/3"),
+                     trace=indices_sequence(vec, parse_weight("equal", 2), 1))
+    cert = gamma_prefix(th, ell=1, stage_budget=2,
+                        trace=indices_sequence(th, ell=1, stage_budget=8))
+    assert verify_certificate(cert).ok
+
+
 # ---------------------------------------------------------------------------
 # verification catches tampering
 # ---------------------------------------------------------------------------

@@ -482,3 +482,19 @@ def test_compare_weighted_constants_zero_witness():
                                      [Fraction(1, 2), Fraction(1, 2)], 4)
     assert rep.zero_witness
     assert rep.real_value == ZERO and rep.induced_value == ZERO
+
+
+@pytest.mark.parametrize("scan", [
+    lambda th, g: c_depth_weighted(th, g, GeneralizedWeight.equal(2), 2),
+    lambda th, g: compare_weighted_constants(th, g, ["1/2", "1/2"], 2),
+], ids=["c_depth_weighted", "compare_weighted_constants"])
+def test_a_target_of_another_shape_or_field_is_refused(scan):
+    """gamma must have theta's coordinate count and field; every constant
+    scan checks both before it starts."""
+    f2, f3 = Field(2), Field(3)
+    theta = (parse_series("frac=periodic:[0,1]|[0]", f2),
+             parse_series("frac=periodic:[0,0,1]|[0]", f2))
+    with pytest.raises(ValueError, match="coordinates"):
+        scan(theta, theta[:1])
+    with pytest.raises(ValueError, match="different fields"):
+        scan(theta, (parse_series("frac=periodic:[1]|[2]", f3),) * 2)
