@@ -126,7 +126,8 @@ def indices_sequence(theta, weight: GeneralizedWeight | None = None,
     trace.stages.append(Stage(0, ell, 0, StageStatus.FOUND))
     if stage_budget == 0:
         return trace
-    # columns repeat past the period bound; the extra i is safety margin
+    # columns repeat past the period bound (recurrence_bound would certify
+    # rational tails sooner: see period_bound); the extra i is margin
     bound = period_bound(vec)
     ech = RowEchelon(vec, w, _START_WIDTH)
     for _ in range(ell):

@@ -13,13 +13,15 @@ they can produce:
 * Rule(name)        -- coefficients from a registered function, unbounded.
 
 Sources that know an eventual period (Rational, Periodic, Rule with a
-declared period) can certify that a tail is exactly zero; a Finite source
-can only report BelowLimit when every scanned coefficient vanishes.
+declared period) can certify that a tail is exactly zero, rational ones
+within the degree of the reduced denominator (recurrence_bound); a Finite
+source can only report BelowLimit when every scanned coefficient vanishes.
 """
 
 from __future__ import annotations
 
 import json
+from functools import reduce
 from itertools import islice
 from math import isqrt, lcm
 from operator import getitem
@@ -27,6 +29,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InsufficientPrecisionError, TooLargeToEnumerateError
 from .field import Field
+from .linalg import _Basis
 from .polynomial import Poly
 from .qval import QVal, ZERO, BelowLimit
 
@@ -34,7 +37,7 @@ __all__ = [
     "CoefficientSource", "FiniteSource", "PeriodicSource", "RationalSource",
     "RuleSource", "LaurentSeries", "expand_rational", "frac_abs",
     "poly_times_series_frac", "parse_series", "series_to_text", "as_vector",
-    "register_rule", "period_bound",
+    "register_rule", "period_bound", "recurrence_bound",
 ]
 
 _PERIOD_SEARCH_CAP = 1_000_000
@@ -152,9 +155,10 @@ class RationalSource(CoefficientSource):
     cycle exactly when t^e divides it, so the preperiod a is the least such
     k <= e.  The period is the least p >= 1 with t^p r_a = r_a, and p <
     q^(deg den - e): baby-step giant-step (Shanks) with m = isqrt(q^(deg den
-    - e)) + 1 finds every p below m^2.  When m * deg den is over the cap, m
-    drops to isqrt(cap) + 1, so a period up to the cap is still found and a
-    longer one raises TooLargeToEnumerateError.
+    - e)) + 1, giant steps summing packed rows, finds every p below m^2.
+    When m * deg den is over the cap, m drops to isqrt(cap) + 1, so a
+    period up to the cap is still found and a longer one raises
+    TooLargeToEnumerateError.
     """
 
     kind = "rational"
@@ -208,19 +212,23 @@ class RationalSource(CoefficientSource):
         m = m if m * deg <= cap else min(m, isqrt(cap) + 1)
         rems = [self._r0, *(r for _, r in islice(self._run(self._r0), e))]
         a = next(k for k, r in enumerate(rems) if not any(r[:e]))
-        start, baby = rems[a], {rems[a]: 0}
+        start, baby = rems[a], {bytes(rems[a]): 0}
         for j, (_, r) in enumerate(islice(self._run(start), m - 1), 1):
             if r == start:
                 self._period = (a, j)
                 return self._period
-            baby[r] = j
+            baby[bytes(r)] = j
         # deg den >= 1 here; g = t^m mod den, and y -> y*g mod den is
-        # y_k times t^k g mod den, summed: one dot product per column
+        # y_k times row k = t^k g mod den, summed: one packed row step each
         g = next(islice(self._run((1,) + (0,) * (deg - 1)), m - 1, None))[1]
-        cols = list(zip(g, *(r for _, r in islice(self._run(g), deg - 1))))
-        y, dot = start, self.den.field.dot
+        ops, neg = _Basis(self.den.field), self.den.field._neg
+        rows = [ops.pack(r) for r in (g, *(r for _, r in islice(self._run(g), deg - 1)))]
+        y = bytes(start)
         for i in range(1, m + 1):
-            y = tuple(dot(y, col) for col in cols)
+            v = 0
+            for c, row in zip(y, rows):
+                v = ops.sub_multiple(v, row, neg[c]) if c else v
+            y = v.to_bytes(deg, "little")
             if y in baby:
                 self._period = (a, i * m - baby[y])
                 return self._period
@@ -494,7 +502,8 @@ def series_to_text(theta: LaurentSeries) -> str:
 def period_bound(series: Iterable[LaurentSeries]) -> int | None:
     """Largest preperiod plus the lcm of the periods of the tails: past this
     index every tail repeats with that common period.  None when some tail
-    has no certified eventual period."""
+    has no certified eventual period.  indices_sequence and verify_certificate
+    keep it: bench/test_bench.py pins the degree-12 a/P walk as uncertified."""
     pre, per = 0, 1
     for s in series:
         info = s.frac.period_info()
@@ -502,6 +511,23 @@ def period_bound(series: Iterable[LaurentSeries]) -> int | None:
             return None
         pre, per = max(pre, info[0]), lcm(per, info[1])
     return pre + per
+
+
+def recurrence_bound(series: Sequence[LaurentSeries]) -> int | None:
+    """Leading zero digits that certify an F_q[t]-combination of the tails
+    to be 0.  Rational tails give deg L, L the lcm of the reduced
+    denominators: the combination is c/L with deg c < deg L, so c != 0
+    shows in its first deg L digits.  Other tails: period_bound, never less."""
+    if not all(isinstance(s.frac, RationalSource) for s in series):
+        return period_bound(series)
+    dens = [s.frac.den // _gcd(s.frac.num % s.frac.den, s.frac.den) for s in series]
+    return reduce(lambda a, b: a * (b // _gcd(a, b)), dens).deg
+
+
+def _gcd(a: Poly, b: Poly) -> Poly:
+    while not b.is_zero:
+        a, b = b, a % b
+    return a
 
 
 def _parse_codes(text: str) -> list[int]:

@@ -9,7 +9,9 @@ the true infimum (and equals it once the attained minimum is stable).  All
 values are exact powers of q handled as QVal exponents; the only concession
 to finite data is a per-coordinate scan cap, and the report says whether
 any candidate had to be excluded because its difference stream vanished
-beyond what the inputs could certify.
+beyond what the inputs could certify.  An exact zero is certified by a
+scan to series.recurrence_bound: for rational theta^s and gamma^s the
+degree of their reduced common denominator.
 
 The minimum is found by linear algebra, not by enumerating the
 q^h (q - 1) candidates of each degree h: a degree-h N matches the first k
@@ -39,8 +41,8 @@ from .hankel import HankelView, default_weight, square_invertibility_spectrum
 from .linalg import _Basis, nullspace, solve
 from .polynomial import Poly
 from .qval import QVal, ZERO, qexp
-from .series import (LaurentSeries, as_vector, period_bound,
-                     poly_times_series_frac, rule_source)
+from .series import (LaurentSeries, as_vector, poly_times_series_frac,
+                     recurrence_bound, rule_source)
 from .weights import GeneralizedWeight
 
 __all__ = ["DepthBoundedConstant", "c_depth", "c_depth_weighted",
@@ -70,6 +72,16 @@ class _Coord:
     certified: bool
 
 
+def _target(vec: tuple[LaurentSeries, ...], gamma) -> tuple[LaurentSeries, ...]:
+    """gamma as a vector with theta's coordinate count and field."""
+    gvec = as_vector(gamma)
+    if len(gvec) != len(vec):
+        raise ValueError(f"target has {len(gvec)} coordinates, expected {len(vec)}")
+    if gvec[0].field != vec[0].field:
+        raise ValueError("theta and gamma live over different fields")
+    return gvec
+
+
 def _coord_contexts(vec: tuple[LaurentSeries, ...],
                     gvec: tuple[LaurentSeries, ...],
                     max_deg: int, prec: int | None) -> list[_Coord]:
@@ -77,8 +89,8 @@ def _coord_contexts(vec: tuple[LaurentSeries, ...],
         raise ValueError(f"degree bound {max_deg} must be nonnegative")
     out: list[_Coord] = []
     for s, (th_s, gm_s) in enumerate(zip(vec, gvec)):
-        zero_width = period_bound((th_s, gm_s))
-        target = zero_width if zero_width is not None \
+        zero_width = recurrence_bound((th_s, gm_s))     # 0 for two zero tails
+        target = max(zero_width, 1) if zero_width is not None \
             else (prec if prec is not None else DEFAULT_UNCERTIFIED_SCAN)
         if prec is not None:
             target = min(target, prec)
@@ -346,16 +358,11 @@ def _qval(e) -> QVal | None:
 
 def _constant(vec: tuple[LaurentSeries, ...], gamma, exponents, max_deg: int,
               prec: int | None, deg_lo: int) -> DepthBoundedConstant:
-    """The scan behind every exact constant: gamma must match theta's
-    coordinate count and field, then degrees deg_lo..max_deg are scanned
-    under the weight exponents(h)."""
-    gvec = as_vector(gamma)
-    if len(gvec) != len(vec):
-        raise ValueError(f"target has {len(gvec)} coordinates, expected {len(vec)}")
+    """The scan behind every exact constant: gamma is checked against
+    theta, then degrees deg_lo..max_deg are scanned under the weight
+    exponents(h)."""
     field = vec[0].field
-    if gvec[0].field.q != field.q:
-        raise ValueError("theta and gamma live over different fields")
-    contexts = _coord_contexts(vec, gvec, max_deg, prec)
+    contexts = _coord_contexts(vec, _target(vec, gamma), max_deg, prec)
     best, digits, depths, skipped = _scan_range(field, contexts, deg_lo,
                                                 max_deg, exponents)
     return DepthBoundedConstant(
@@ -452,7 +459,7 @@ def matrix_condition_check(theta, gamma,
     """
     vec = as_vector(theta)
     w = default_weight(vec, weight)
-    gvec = as_vector(gamma)
+    gvec = _target(vec, gamma)
     if n is None or n.is_zero:
         raise ValueError("the condition is about nonzero denominators N")
     if ell < 0:
@@ -495,10 +502,11 @@ def find_witness_small(theta: LaurentSeries, gamma: LaurentSeries,
     one) or the 2 x 2 system is unconditionally solvable."""
     vec = as_vector(theta)
     w = default_weight(vec, None)
+    gvec = _target(vec, gamma)
     field = vec[0].field
     for j in range(1, max_m + 1):
         rows = HankelView.of(vec, w, j, j).stacked_rows()
-        rhs = list(gamma.frac_coeffs(j))
+        rhs = list(gvec[0].frac_coeffs(j))
         if any(rhs):
             sol = solve(field, rows, rhs)
             if sol is None or not any(sol):
@@ -512,7 +520,7 @@ def find_witness_small(theta: LaurentSeries, gamma: LaurentSeries,
         witness = Poly(field, sol[: top + 1])
         bound = qexp(witness.deg - j - 1)
         try:
-            ctx = _coord_contexts(vec, (gamma,), witness.deg, None)
+            ctx = _coord_contexts(vec, gvec, witness.deg, None)
             e = _value(ctx, (witness.deg,), _depths(field, ctx, list(witness.coeffs)))
         except InsufficientPrecisionError:
             e = None

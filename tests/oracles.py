@@ -156,6 +156,25 @@ def poly_divmod(f, a, b):
     return poly_trim(quot), poly_trim(rem)
 
 
+def poly_gcd(f, a, b):
+    """A greatest common divisor by Euclid (not normalized)."""
+    a, b = poly_trim(a), poly_trim(b)
+    while b:
+        a, b = b, poly_divmod(f, a, b)[1]
+    return a
+
+
+def rational_recurrence_order(f, fractions):
+    """Degree of the lcm of the reduced denominators of the (num, den)
+    pairs: the lcm is built up as a product over gcds, each denominator
+    first divided by its gcd with the numerator."""
+    common = [1]
+    for num, den in fractions:
+        den = poly_divmod(f, den, poly_gcd(f, num, den))[0]
+        common = poly_mul(f, common, poly_divmod(f, den, poly_gcd(f, common, den))[0])
+    return len(common) - 1
+
+
 def rational_expansion(f, num, den, count):
     """Polynomial part and the first `count` tail coefficients of num/den.
 
@@ -433,14 +452,14 @@ def count_hyperplane(f, b, positions, fixed, q_gap):
 
 
 def scan_cap(theta_period, gamma_period, theta_guarantee, gamma_guarantee,
-             max_deg, prec, default_scan=64):
+             max_deg, prec, default_scan=64, zero_width=None):
     """Scan cap and certification flag of one coordinate, as the constant
     scans define them.  *_period is (preperiod, period) or None when the
     source declares none; *_guarantee is the last served index or None.
     Past max preperiod + lcm of the periods both tails repeat together, so
-    a scan that far certifies an exact zero."""
-    zero_width = None
-    if theta_period is not None and gamma_period is not None:
+    a scan that far certifies an exact zero; a zero_width given by the
+    caller (two rational tails) replaces that width."""
+    if zero_width is None and theta_period is not None and gamma_period is not None:
         (a1, p1), (a2, p2) = theta_period, gamma_period
         zero_width = max(a1, a2) + p1 * p2 // math.gcd(p1, p2)
     cap = zero_width if zero_width is not None else \

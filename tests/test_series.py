@@ -14,9 +14,9 @@ from ffba import indices_sequence
 from ffba.errors import ElementCodeError, FfbaError, InsufficientPrecisionError
 from ffba.qval import BelowLimit
 from ffba.series import (FiniteSource, PeriodicSource, RationalSource,
-                         RuleSource, as_vector)
+                         RuleSource, as_vector, period_bound, recurrence_bound)
 from oracles import (OracleField, poly_mul, poly_trim, rational_expansion,
-                     rational_period_states)
+                     rational_period_states, rational_recurrence_order)
 
 
 def _oracle_of(field: Field) -> OracleField:
@@ -76,16 +76,17 @@ def test_period_info_is_minimal():
             assert not ok, (num, den, pre, per, shorter)
 
 
-# den degree per q, kept small enough for the state-recording oracle
-_CORE_LEN = {2: 6, 3: 4, 4: 4, 9: 3}
+# den degree per q, kept small enough for the state-recording oracle; over
+# F_17 (q * q > 256) the packed giant steps take linalg's entrywise path
+_CORE_LEN = {2: 6, 3: 4, 4: 4, 9: 3, 17: 3}
 
 
 @st.composite
-def _rationals(draw):
+def _rationals(draw, q=None):
     """num/den with den = t^e * core * common and num = top * common: a
     power of t gives a preperiod, a common factor leaves the fraction
     unreduced; constant den, num = 0 and deg num >= deg den all occur."""
-    q = draw(st.sampled_from(sorted(_CORE_LEN)))
+    q = q or draw(st.sampled_from(sorted(_CORE_LEN)))
     field = Field.of_order(q)
     o = _oracle_of(field)
     code = st.integers(0, q - 1)
@@ -122,6 +123,22 @@ def test_rational_source_matches_state_oracle(case, order, data):
     stop = data.draw(st.integers(start - 1, n), label="slice stop")
     assert by_slice.digits(start, stop) == want[start - 1:stop]
     assert by_slice.digits(1, n) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rationals(), st.data())
+def test_recurrence_bound_is_the_oracle_order_and_below_period_bound(case, data):
+    """For a pair of rational tails, reduced or not, recurrence_bound is the
+    degree of the lcm of the reduced denominators, and never above
+    period_bound."""
+    field, o, num, den = case
+    _, _, num2, den2 = data.draw(_rationals(field.q), label="second tail")
+    pair = tuple(expand_rational(Poly(field, a), Poly(field, b))
+                 for a, b in ((num, den), (num2, den2)))
+    bound = recurrence_bound(pair)
+    assert bound == rational_recurrence_order(o, [(num, den), (num2, den2)])
+    assert bound <= period_bound(pair)
+    event("bound < period_bound" if bound < period_bound(pair) else "equal")
 
 
 def test_one_over_t_digits_after_the_period():

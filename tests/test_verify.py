@@ -10,15 +10,16 @@ from hypothesis import event, given, settings, strategies as st
 
 from ffba import (ComparisonReport, DepthBoundedConstant, ElementCodeError,
                   Field, FiniteSource, GeneralizedWeight, InsufficientPrecisionError,
-                  LaurentSeries, PeriodicSource, Poly, RuleSource, ZERO, c_depth,
-                  c_depth_weighted, c_liminf_depth, compare_weighted_constants,
-                  expand_rational, find_witness_small, indices_sequence,
-                  liminf_structure, m0_structure, make_liminf_theta,
+                  LaurentSeries, PeriodicSource, Poly, RationalSource, RuleSource,
+                  ZERO, c_depth, c_depth_weighted, c_liminf_depth,
+                  compare_weighted_constants, expand_rational, find_witness_small,
+                  indices_sequence, liminf_structure, m0_structure, make_liminf_theta,
                   matrix_condition_check, merge_reports, parse_series, qexp)
 from ffba.verify import alternation_pairs
 
 from oracles import (OracleField, brute_constant_exponent, odometer_scan,
-                     scan_cap)
+                     poly_divmod, poly_mul, rational_period_states,
+                     rational_recurrence_order, scan_cap)
 
 
 def _periodic(f, rng, pre_len, per_len):
@@ -103,6 +104,20 @@ def test_zero_witness_when_target_is_hit_exactly():
     assert rep.witness == Poly(f, [0, 1])
 
 
+def test_rational_pair_scans_to_its_recurrence_order():
+    """With P primitive of degree 16, a/P has period 2^16 - 1, but two
+    tails over P are certified after 16 digits.  Two zero tails have
+    recurrence order 0, and the scan still reads one digit."""
+    f = Field(2)
+    p = Poly(f, [1, 0, 1, 1, 0, 1] + [0] * 10 + [1])
+    theta, gamma = expand_rational(Poly(f, [1]), p), expand_rational(Poly(f, [0, 1]), p)
+    rep = c_depth(theta, gamma, 2)
+    assert rep.scan_caps == (16,) and rep.zero_witness and rep.witness == Poly(f, [0, 1])
+    zero = expand_rational(Poly.zero(f), p)
+    rep = c_depth(zero, zero, 2)
+    assert rep.scan_caps == (1,) and rep.zero_witness and rep.witness == Poly(f, [1])
+
+
 def test_precision_cap_reports_limit():
     f = Field(2)
     th = parse_series("frac=periodic:[0,1]|[0]", f)
@@ -120,9 +135,10 @@ _MAX_DEG = {2: 5, 3: 3, 4: 2, 5: 2, 9: 1}
 
 
 @st.composite
-def _coordinate(draw, of, kind):
+def _coordinate(draw, f, of, kind):
     """One tail as (digit function, (preperiod, period) or None, guarantee
-    or None, package source).  'hit' is filled in later from theta."""
+    or None, package source, (num, den) or None).  'hit' is filled in
+    later from theta."""
     q = of.q
     code = st.sampled_from([0, 0] + list(range(1, q)))
     codes = lambda lo, hi: draw(st.lists(code, min_size=lo, max_size=hi))
@@ -131,30 +147,45 @@ def _coordinate(draw, of, kind):
             draw(st.lists(st.sampled_from([0, 0, 0, 1]), max_size=6))
         per = codes(1, 4) if kind == "periodic" else [0]
         fn = lambda i: pre[i - 1] if i <= len(pre) else per[(i - 1 - len(pre)) % len(per)]
-        return fn, (len(pre), len(per)), None, PeriodicSource(pre, per)
+        return fn, (len(pre), len(per)), None, PeriodicSource(pre, per), None
     if kind == "finite":
         ds = codes(8, 20)
-        return (lambda i: ds[i - 1]), None, len(ds), FiniteSource(ds)
+        return (lambda i: ds[i - 1]), None, len(ds), FiniteSource(ds), None
+    if kind == "rational":
+        return _rational(f, of, codes(0, 4), codes(0, 3) + [draw(st.integers(1, q - 1))])
     ds = codes(1, 30)
     fn = lambda i: ds[(i - 1) % len(ds)]
-    return fn, None, None, RuleSource("drawn", fn)
+    return fn, None, None, RuleSource("drawn", fn), None
 
 
-def _hit(of, theta, n0):
-    """<N0 theta> for a periodic theta, as a periodic coordinate."""
-    fn, (a, p), _, _ = theta
+def _rational(f, of, num, den):
+    """The tail of num/den, digits and period from the remainder-recording
+    oracle."""
+    (a, p), _ = rational_period_states(of, num, den, 0)
+    digits = rational_period_states(of, num, den, a + p)[1]
+    fn = lambda i: digits[i - 1] if i <= a else digits[a + (i - 1 - a) % p]
+    return fn, (a, p), None, RationalSource(Poly(f, num), Poly(f, den)), (num, den)
+
+
+def _hit(f, of, theta, n0):
+    """<N0 theta> for a periodic or rational theta, of the same kind."""
+    if theta[4] is not None:
+        num, den = theta[4]
+        return _rational(f, of, poly_divmod(of, poly_mul(of, n0, num), den)[1], den)
+    fn, (a, p) = theta[:2]
     digits = [0] * (a + p)
     for i in range(1, a + p + 1):
         for k, c in enumerate(n0):
             digits[i - 1] = of.add(digits[i - 1], of.mul(c, fn(i + k)))
     pre, per = digits[:a], digits[a:]
     return (lambda i: digits[i - 1] if i <= a else per[(i - 1 - a) % p]), (a, p), None, \
-        PeriodicSource(pre, per)
+        PeriodicSource(pre, per), None
 
 
 @st.composite
 def _constant_inputs(draw, dims=(1, 1, 2, 2, 3), precs=(None, None, 1, 2, 3, 6, 11),
-                     kinds=("periodic", "sparse", "finite", "rule"), orders=(2, 3, 4, 5, 9)):
+                     kinds=("periodic", "sparse", "finite", "rule", "rational"),
+                     orders=(2, 3, 4, 5, 9)):
     q = draw(st.sampled_from(orders))
     f = Field.of_order(q)
     of = OracleField(f.p, f.k, list(f.modulus) if f.k > 1 else None)
@@ -164,13 +195,13 @@ def _constant_inputs(draw, dims=(1, 1, 2, 2, 3), precs=(None, None, 1, 2, 3, 6, 
     prec = draw(st.sampled_from(precs))
     thetas, gammas = [], []
     for _ in range(d):
-        th = draw(_coordinate(of, draw(st.sampled_from(kinds))))
+        th = draw(_coordinate(f, of, draw(st.sampled_from(kinds))))
         kind = draw(st.sampled_from(kinds + ("hit",)))
         if kind == "hit" and th[1] is not None:
-            gm = _hit(of, th, draw(st.lists(st.integers(0, q - 1), min_size=1,
-                                            max_size=max_deg + 1)))
+            gm = _hit(f, of, th, draw(st.lists(st.integers(0, q - 1), min_size=1,
+                                               max_size=max_deg + 1)))
         else:
-            gm = draw(_coordinate(of, "periodic" if kind == "hit" else kind))
+            gm = draw(_coordinate(f, of, "periodic" if kind == "hit" else kind))
         thetas.append(th)
         gammas.append(gm)
     weight = None if d == 1 else draw(st.sampled_from([
@@ -185,10 +216,16 @@ def _series_of(f, coords):
     return tuple(LaurentSeries(f, Poly.zero(f), c[3]) for c in coords)
 
 
-def _oracle_coords(thetas, gammas, max_deg, prec):
+def _oracle_coords(of, thetas, gammas, max_deg, prec, recurrence=True):
+    """Per coordinate (theta tail, gamma tail, cap, certified), or None when
+    a cap is below one digit.  With recurrence, two rational tails certify
+    an exact zero at the degree of their reduced common denominator (the
+    scan reads at least one digit); without, at preperiod plus period."""
     out = []
-    for (tf, tp, tg, _), (gf, gp, gg, _) in zip(thetas, gammas):
-        cap, certified = scan_cap(tp, gp, tg, gg, max_deg, prec)
+    for (tf, tp, tg, _, tr), (gf, gp, gg, _, gr) in zip(thetas, gammas):
+        width = max(1, rational_recurrence_order(of, (tr, gr))) \
+            if recurrence and tr is not None and gr is not None else None
+        cap, certified = scan_cap(tp, gp, tg, gg, max_deg, prec, zero_width=width)
         if cap < 1:
             return None
         out.append(([tf(i) for i in range(1, cap + max_deg + 1)],
@@ -212,9 +249,18 @@ def test_multi_coordinate_skips_match_odometer_oracle(case):
     _check_against_oracle(*case)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_constant_inputs(precs=(None,), kinds=("rational",)))
+def test_rational_pairs_match_odometer_oracle(case):
+    """Rational theta^s and gamma^s certify an exact zero at the degree of
+    their reduced common denominator, and scans that stop there agree
+    with scans over a whole period."""
+    _check_against_oracle(*case)
+
+
 def _check_against_oracle(f, of, thetas, gammas, weight, max_deg, deg_lo, prec):
     vec, gvec = _series_of(f, thetas), _series_of(f, gammas)
-    coords = _oracle_coords(thetas, gammas, max_deg, prec)
+    coords = _oracle_coords(of, thetas, gammas, max_deg, prec)
     if coords is None:
         with pytest.raises(InsufficientPrecisionError):
             c_depth_weighted(vec, gvec, weight, max_deg, prec=prec, deg_lo=deg_lo)
@@ -223,6 +269,13 @@ def _check_against_oracle(f, of, thetas, gammas, weight, max_deg, deg_lo, prec):
     heights = weight.eval if weight is not None else (lambda h: (h,))
     best, digits, depths, skipped, zero = odometer_scan(
         of, coords, deg_lo, max_deg, lambda h: (heights(h),))
+    rational = [th[4] is not None and gm[4] is not None for th, gm in zip(thetas, gammas)]
+    if prec is None and any(rational):
+        # a full period scans past the recurrence order and sees nothing new
+        event("rational pair")
+        assert odometer_scan(of, _oracle_coords(of, thetas, gammas, max_deg, None, False),
+                             deg_lo, max_deg, lambda h: (heights(h),)) == \
+            (best, digits, depths, skipped, zero)
     caps = tuple(c[2] for c in coords)
     if zero is not None:
         want = DepthBoundedConstant(ZERO, Poly(f, zero), None, deg_lo, max_deg,
@@ -498,3 +551,36 @@ def test_a_target_of_another_shape_or_field_is_refused(scan):
         scan(theta, theta[:1])
     with pytest.raises(ValueError, match="different fields"):
         scan(theta, (parse_series("frac=periodic:[1]|[2]", f3),) * 2)
+
+
+_T2 = "frac=periodic:[0,1]|[0]"     # theta = t^-2
+
+
+@pytest.mark.parametrize("scan", [
+    lambda th, g: c_depth(th, g, 2),
+    find_witness_small,
+    lambda th, g: matrix_condition_check(th, g, n=Poly(th.field, [0, 1])),
+], ids=["c_depth", "find_witness_small", "matrix_condition_check"])
+@pytest.mark.parametrize("theta, gamma, match", [
+    ((2, None, _T2), (3, None, "frac=periodic:[2]|[0]"), "different fields"),
+    ((2, None, _T2), (3, None, "frac=periodic:[1]|[0]"), "different fields"),
+    ((9, None, _T2), (9, [2, 2, 1], "frac=periodic:[1]|[0]"), "different fields"),
+    ((2, None, _T2), (2, None, ("frac=periodic:[1]|[0]",) * 2), "coordinates"),
+], ids=["F3-digit-2", "F3-digit-1", "F9-other-modulus", "two-coordinates"])
+def test_every_one_dimensional_scan_checks_gamma_against_theta(scan, theta, gamma, match):
+    """A gamma over another field (even of the same order) or with another
+    coordinate count is refused, not read as codes of theta's field."""
+    def series(q, modulus, text):
+        f = Field.of_order(q, modulus)
+        return parse_series(text, f) if isinstance(text, str) else \
+            tuple(parse_series(t, f) for t in text)
+    with pytest.raises(ValueError, match=match):
+        scan(series(*theta), series(*gamma))
+
+
+def test_a_one_coordinate_tuple_is_a_target():
+    f = Field(2)
+    theta, gamma = parse_series(_T2, f), parse_series("frac=periodic:[1,0,1]|[0]", f)
+    assert find_witness_small(theta, (gamma,)) == find_witness_small(theta, gamma)
+    n = Poly(f, [0, 1])
+    assert matrix_condition_check(theta, (gamma,), n=n) == matrix_condition_check(theta, gamma, n=n)
