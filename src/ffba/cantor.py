@@ -222,10 +222,13 @@ class CylinderSet:
     def offsets(self) -> tuple[int, ...]:
         return tuple(accumulate(self.ell[:-1], initial=0))[:len(self.ell)]
 
-    def restrict_block(self, block: tuple, smaller: tuple[int, ...]) -> tuple:
-        """Project a stacked block down to a smaller extent vector."""
-        return tuple(c for off, take in zip(self.offsets(), smaller)
-                     for c in block[off:off + take])
+    def restrict(self, smaller: tuple[int, ...]) -> set:
+        """Every block projected down to a smaller extent vector, with the
+        offsets taken once; a prefix slice when d = 1."""
+        if len(self.ell) == 1:
+            return {blk[:smaller[0]] for blk in self.blocks}
+        cuts = [(off, off + take) for off, take in zip(self.offsets(), smaller)]
+        return {tuple(c for lo, hi in cuts for c in blk[lo:hi]) for blk in self.blocks}
 
 
 @dataclass
@@ -263,7 +266,8 @@ def validate_tree_like(stages: Sequence[CylinderSet]) -> TreeReport:
     for m, st in enumerate(stages):
         add(f"stage{m}_positive_measure", len(st.blocks) > 0,
             f"{len(st.blocks)} cylinders")
-        bad = [b for b in st.blocks if len(b) != st.total]
+        total = st.total
+        bad = [b for b in st.blocks if len(b) != total]
         add(f"stage{m}_well_formed", not bad,
             "" if not bad else f"{len(bad)} blocks of wrong length")
     for m in range(len(stages) - 1):
@@ -272,7 +276,7 @@ def validate_tree_like(stages: Sequence[CylinderSet]) -> TreeReport:
         add(f"stage{m + 1}_extends_extent", grows, f"{a.ell} -> {b.ell}")
         if not grows:
             continue
-        parents = {b.restrict_block(blk, a.ell) for blk in b.blocks}
+        parents = b.restrict(a.ell)
         add(f"stage{m + 1}_refines", parents <= a.blocks,
             f"{len(parents - a.blocks)} orphan cylinders")
         add(f"stage{m}_all_refined", a.blocks <= parents,

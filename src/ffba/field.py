@@ -13,6 +13,8 @@ checked exhaustively at construction.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import isqrt
 from typing import Sequence
 
 from .errors import (ElementCodeError, MissingModulusError, NonPrimeError,
@@ -127,22 +129,26 @@ class Field:
 
     @classmethod
     def of_order(cls, q: int, modulus: Sequence[int] | None = None) -> "Field":
-        """Construct F_q, factoring q = p^k once q is in range."""
+        """F_q, factoring q = p^k once q is in range.  Fields are immutable
+        and compare by value, so one is shared per (q, modulus) when the
+        modulus is None or a list or tuple of ints; any other is passed on
+        to Field(), which raises as before."""
         if not 2 <= q <= _MAX_Q:
             raise ValueError(f"field order {q} outside supported range 2..{_MAX_Q}")
-        p = 2
-        while p * p <= q:
-            if q % p == 0:
-                k = 0
-                m = q
+        p, k, m = q, 1, q
+        for d in range(2, isqrt(q) + 1):
+            if q % d == 0:
+                p, k = d, 0
                 while m % p == 0:
                     m //= p
                     k += 1
                 if m != 1:
                     raise NonPrimeError(f"{q} is not a prime power")
-                return cls(p, k, modulus)
-            p += 1
-        return cls(q, 1, modulus)
+                break
+        if modulus is None or (isinstance(modulus, (list, tuple))
+                               and all(type(c) is int for c in modulus)):
+            return _shared(p, k, None if modulus is None else tuple(modulus))
+        return cls(p, k, modulus)
 
     def _build_tables(self) -> None:
         p, k, q = self.p, self.k, self.q
@@ -238,6 +244,11 @@ class Field:
         if self.k == 1:
             return f"Field(q={self.q})"
         return f"Field(q={self.q}, modulus={list(self.modulus)})"
+
+
+@lru_cache(maxsize=64)
+def _shared(p: int, k: int, modulus: tuple[int, ...] | None) -> Field:
+    return Field(p, k, modulus)
 
 
 # ---------------------------------------------------------------------------

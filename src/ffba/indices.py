@@ -16,9 +16,12 @@ Ranks come from one echelon of the stacked rows in walk order
 of pivots below j among the first i rows.  So j_m is one past the top
 pivot once all i_{m-1} rows have pivots below the scan stop, and i_m is
 reached by appending rows until ell of them add no pivot below j_m.  The
-echelon starts narrow and doubles its width up to the scan stop: j_cutoff,
-the source guarantees, or the certified period bound.  Each column scan
-that finds j_{m+1} also reads b_m off the echelon's row tags.
+scan stop is j_cutoff, the source guarantees, or the certified period
+bound.  The echelon starts at stage_budget * ell columns capped at the
+first stop (a walk that completes its budget scans to j_B >= B * ell
+anyway) and doubles up to the stop; pivots and row tags below a width do
+not depend on the echelon's width, so the start only saves re-packing.
+Each column scan that finds j_{m+1} also reads b_m off the row tags.
 
 A plateau is certified (j_m infinite) only when every coordinate's source
 has an eventual period: columns repeat once the scan passes the combined
@@ -43,7 +46,7 @@ DEFAULT_J_CUTOFF = 4096
 # No walk scans past this many columns, so no certificate claims a wider
 # stage, and the verifier refuses wider ones before allocating rows.
 MAX_J_CUTOFF = 1 << 17
-_START_WIDTH = 8        # echelon width before the first doubling
+_START_WIDTH = 8        # least starting echelon width (see the module docstring)
 
 
 class StageStatus(Enum):
@@ -129,7 +132,7 @@ def indices_sequence(theta, weight: GeneralizedWeight | None = None,
     # columns repeat past the period bound (recurrence_bound would certify
     # rational tails sooner: see period_bound); the extra i is margin
     bound = period_bound(vec)
-    ech = RowEchelon(vec, w, _START_WIDTH)
+    ech = RowEchelon(vec, w, 0)
     for _ in range(ell):
         ech.append()
     cur_i = ell
@@ -138,6 +141,8 @@ def indices_sequence(theta, weight: GeneralizedWeight | None = None,
         # Rows are exact up to ech.cover, which the stop never exceeds.
         cert_width = None if bound is None else bound + cur_i
         scan_stop = min(x for x in (j_cutoff, ech.cover, cert_width) if x is not None)
+        if m == 1:
+            ech.widen(max(_START_WIDTH, min(stage_budget * ell, scan_stop)))
         j_found = ech.full_rank_width(scan_stop)
         if j_found is None:
             c = max(scan_stop, 0)

@@ -13,8 +13,8 @@ they can produce:
 * Rule(name)        -- coefficients from a registered function, unbounded.
 
 Sources that know an eventual period (Rational, Periodic, Rule with a
-declared period) can certify that a tail is exactly zero, rational ones
-within the degree of the reduced denominator (recurrence_bound); a Finite
+declared period) can certify that a tail is exactly zero within the
+degree of a common denominator (recurrence_bound); a Finite
 source can only report BelowLimit when every scanned coefficient vanishes.
 """
 
@@ -515,13 +515,39 @@ def period_bound(series: Iterable[LaurentSeries]) -> int | None:
 
 def recurrence_bound(series: Sequence[LaurentSeries]) -> int | None:
     """Leading zero digits that certify an F_q[t]-combination of the tails
-    to be 0.  Rational tails give deg L, L the lcm of the reduced
-    denominators: the combination is c/L with deg c < deg L, so c != 0
-    shows in its first deg L digits.  Other tails: period_bound, never less."""
-    if not all(isinstance(s.frac, RationalSource) for s in series):
-        return period_bound(series)
-    dens = [s.frac.den // _gcd(s.frac.num % s.frac.den, s.frac.den) for s in series]
-    return reduce(lambda a, b: a * (b // _gcd(a, b)), dens).deg
+    to be 0: deg E for a common denominator E, as the combination is c/E
+    with deg c < deg E.  E = lcm(L, D), L the lcm of the reduced rational
+    denominators and D = t^pre (t^per - 1) for the other tails (largest
+    preperiod, lcm of the periods); E divides the denominator behind
+    period_bound, so it is never larger.  None without certified periods."""
+    dens, pre, per, periodic = [], 0, 1, False
+    for s in series:
+        src = s.frac
+        if isinstance(src, RationalSource):
+            dens.append(src.den // _gcd(src.num % src.den, src.den))
+            continue
+        info = src.period_info()
+        if info is None:
+            return None
+        pre, per, periodic = max(pre, info[0]), lcm(per, info[1]), True
+    L = reduce(lambda a, b: a * (b // _gcd(a, b)), dens) if dens else None
+    if not periodic:
+        return L.deg
+    if L is None or L.deg < 1:
+        return pre + per
+    one = Poly(L.field, [1])
+    return L.deg + pre + per - _gcd(L, _t_power(pre, L) * (_t_power(per, L) - one) % L).deg
+
+
+def _t_power(e: int, m: Poly) -> Poly:
+    """t^e mod m, by square-and-multiply."""
+    out, base = Poly(m.field, [1]) % m, Poly(m.field, [0, 1]) % m
+    while e:
+        if e & 1:
+            out = out * base % m
+        base = base * base % m
+        e >>= 1
+    return out
 
 
 def _gcd(a: Poly, b: Poly) -> Poly:

@@ -32,7 +32,7 @@ from .field import Field
 from .hankel import HankelView, default_weight, left_null_vector
 from .indices import (DEFAULT_J_CUTOFF, MAX_J_CUTOFF, IndicesTrace, Stage,
                       StageStatus, indices_sequence)
-from .linalg import _Basis
+from .linalg import _Basis, _byte_tables
 from .series import LaurentSeries, as_vector, period_bound, series_from_json
 from .weights import GeneralizedWeight
 
@@ -305,10 +305,13 @@ def gamma_prefix(theta, weight: GeneralizedWeight | None = None,
 
 def _lexmin_of_line(field: Field, w: GeneralizedWeight, walk_b: bytes) -> tuple[int, ...]:
     """The lex-least point of the line spanned by walk_b: walk_b in stacked
-    order (a stable sort of the walk rows by block), with a leading 1."""
-    b = [walk_b[k] for k in sorted(range(len(walk_b)), key=lambda k: w.assign(k + 1))]
-    inv = field.inv(next(c for c in b if c))
-    return tuple([field.mul(inv, c) for c in b])
+    order (a stable sort of the walk rows by block; walk order when d = 1),
+    scaled to a leading 1 by one bytes.translate."""
+    if w.d > 1:
+        walk_b = bytes(walk_b[k] for k in sorted(range(len(walk_b)),
+                                                 key=lambda k: w.assign(k + 1)))
+    inv = field.inv(next(c for c in walk_b if c))
+    return tuple(walk_b.translate(_byte_tables(field)[1][inv]))
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +470,13 @@ def schedule_from_certificate(cert: Certificate) -> ConstructionSchedule:
 def survivor_cylinders(cert: Certificate,
                        stage_count: int | None = None) -> list[CylinderSet]:
     """Exhaustive survivor families [stage 0, ..., stage M] of the
-    certificate's constraints, as stacked cylinder sets."""
+    certificate's constraints, as stacked cylinder sets.
+
+    A stage-m child is a surviving block with a tail of new digits added to
+    each coordinate, and it survives iff b_m . pi(child) != 0.  That sum
+    splits into b_m's old rows against the block and its new rows against
+    the tail, so each stage takes one value per block and one per tail, and
+    keeps the tails whose value does not cancel the block's."""
     n = len(cert.stages) if stage_count is None else stage_count
     if n > len(cert.stages):
         raise ValueError("certificate has fewer stages than requested")
@@ -475,25 +484,37 @@ def survivor_cylinders(cert: Certificate,
     f = cert.field
     w = cert.weight
     out = [CylinderSet((0,) * cert.d, frozenset({()}))]
-    blocks: list[tuple[tuple[int, ...], ...]] = [((),) * cert.d]
+    blocks: list[tuple[int, ...]] = [()]         # stacked, coordinate-major
     prev_i = 0
     for m in range(n):
         st = cert.stages[m]
         if q ** st.i > ENUM_CAP:
             raise TooLargeToEnumerateError(
                 f"stage extent {st.i} exceeds the enumeration cap")
-        g_now = w.eval(st.i)
-        g_prev = w.eval(prev_i)
-        gaps = [g_now[s] - g_prev[s] for s in range(cert.d)]
-        # every block extended by every tail of the stage's new digits
-        tails = list(itertools.product(*(itertools.product(range(q), repeat=g)
-                                         for g in gaps)))
-        blocks = [cand for blk in blocks for cand in
-                  (tuple(map(tuple.__add__, blk, t)) for t in tails)
-                  if f.dot(st.b, [c for part in cand for c in part])]
-        out.append(CylinderSet(tuple(g_now),
-                               frozenset(tuple(c for s in range(cert.d)
-                                               for c in blk[s])
-                                         for blk in blocks)))
+        g_now, g_prev = w.eval(st.i), w.eval(prev_i)
+        # b's old and new rows, and per coordinate where they sit in a
+        # block and in a tail
+        old, new, cuts, off = [], [], [], 0
+        for g, h in zip(g_prev, g_now):
+            cuts.append((len(old), len(old) + g, len(new), len(new) + h - g))
+            old += st.b[off:off + g]
+            new += st.b[off + g:off + h]
+            off += h
+        by_value: dict[int, list[tuple[int, ...]]] = {}
+        for t in itertools.product(range(q), repeat=len(new)):
+            by_value.setdefault(f.dot(new, t), []).append(t)
+        children: list[tuple[int, ...]] = []
+        for blk in blocks:
+            fixed = f.dot(old, blk)
+            for value, tails in by_value.items():
+                if not f.add(fixed, value):
+                    continue
+                if len(cuts) == 1:
+                    children += [blk + t for t in tails]
+                else:
+                    children += [sum((blk[a:b] + t[c:e] for a, b, c, e in cuts), ())
+                                 for t in tails]
+        blocks = children
+        out.append(CylinderSet(tuple(g_now), frozenset(blocks)))
         prev_i = st.i
     return out

@@ -10,8 +10,8 @@ values are exact powers of q handled as QVal exponents; the only concession
 to finite data is a per-coordinate scan cap, and the report says whether
 any candidate had to be excluded because its difference stream vanished
 beyond what the inputs could certify.  An exact zero is certified by a
-scan to series.recurrence_bound: for rational theta^s and gamma^s the
-degree of their reduced common denominator.
+scan to series.recurrence_bound, the degree of a common denominator of
+theta^s and gamma^s (rational, periodic or mixed).
 
 The minimum is found by linear algebra, not by enumerating the
 q^h (q - 1) candidates of each degree h: a degree-h N matches the first k

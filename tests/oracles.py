@@ -175,6 +175,19 @@ def rational_recurrence_order(f, fractions):
     return len(common) - 1
 
 
+def common_denominator_order(f, fractions, periods):
+    """Degree of a common denominator of rational tails (num, den) and
+    eventually periodic tails (preperiod, period): the lcm of the reduced
+    denominators and of t^pre (t^per - 1), pre the largest preperiod and
+    per the lcm of the periods, when any periodic tail is given."""
+    fractions = list(fractions)
+    if periods:
+        pre = max(a for a, _ in periods)
+        per = math.lcm(*(p for _, p in periods))
+        fractions.append(([1], [0] * pre + [f.neg(1)] + [0] * (per - 1) + [1]))
+    return rational_recurrence_order(f, fractions)
+
+
 def rational_expansion(f, num, den, count):
     """Polynomial part and the first `count` tail coefficients of num/den.
 
@@ -449,6 +462,33 @@ def count_hyperplane(f, b, positions, fixed, q_gap):
             count += 1
     assert q_gap == f.q ** gap
     return count
+
+
+def survivor_family(f, stages, heights):
+    """Survivor families by enumeration.  stages lists (i_k, b_k) with b_k
+    in stacked order; heights(i) gives the per-coordinate extents.  Stage m
+    keeps every stacked block of extent heights(i_m) (coordinate-major)
+    whose restriction pi_k to heights(i_k) has b_k . pi_k != 0 for every
+    k <= m.  Returns (extent, set of blocks) for stage 0 (the empty block)
+    and for each listed stage."""
+    d = len(heights(0))
+    out = [(tuple(heights(0)), {()})]
+    for m, (i_m, _) in enumerate(stages):
+        g = tuple(heights(i_m))
+        kept = set()
+        for block in itertools.product(range(f.q), repeat=sum(g)):
+            for i_k, b_k in stages[:m + 1]:
+                h = heights(i_k)
+                pi = [c for s in range(d) for c in block[sum(g[:s]):sum(g[:s]) + h[s]]]
+                acc = 0
+                for x, y in zip(b_k, pi):
+                    acc = f.add(acc, f.mul(x, y))
+                if acc == 0:
+                    break
+            else:
+                kept.add(block)
+        out.append((g, kept))
+    return out
 
 
 def scan_cap(theta_period, gamma_period, theta_guarantee, gamma_guarantee,

@@ -147,8 +147,9 @@ def test_cylinder_set_accessors():
     assert c.total == 3
     assert c.offsets() == (0, 2)
     assert c.measure(2) == Fraction(2, 8)
-    assert c.restrict_block((0, 1, 0), (1, 1)) == (0, 0)
-    assert c.restrict_block((0, 1, 0), (2, 0)) == (0, 1)
+    assert c.restrict((1, 1)) == {(0, 0), (1, 1)}
+    assert c.restrict((2, 0)) == {(0, 1), (1, 1)}
+    assert CylinderSet((3,), frozenset({(0, 1, 0)})).restrict((2,)) == {(0, 1)}
 
 
 def _chain():
@@ -198,3 +199,28 @@ def test_tree_check_flags_each_defect():
                for name, ok, _ in rep.failed())
 
     assert not validate_tree_like([]).ok
+
+
+def _chain_2d(last):
+    """d = 2: coordinate 1's digits, then coordinate 2's, at extents
+    (0, 0), (1, 1), (2, 2); a stage-2 block (a1, a2, b1, b2) refines (a1, b1)."""
+    return [CylinderSet((0, 0), frozenset({()})),
+            CylinderSet((1, 1), frozenset({(0, 1), (1, 0)})),
+            CylinderSet((2, 2), frozenset(last))]
+
+
+@pytest.mark.parametrize("last, failed", [
+    ({(0, 0, 1, 0), (1, 1, 0, 1)}, []),
+    ({(0, 0, 1, 0), (1, 1, 0, 1), (0, 1, 0, 0)},
+     [("stage2_refines", False, "1 orphan cylinders")]),
+    ({(0, 1, 1, 1)},
+     [("stage1_all_refined", False, "1 childless cylinders")]),
+    ({(1, 0, 1, 0), (0, 0, 0, 0)},
+     [("stage2_refines", False, "2 orphan cylinders"),
+      ("stage1_all_refined", False, "2 childless cylinders")]),
+])
+def test_tree_check_two_dimensional_details(last, failed):
+    """Parents are projected coordinate by coordinate; the failing checks
+    and their details name the orphan and childless counts."""
+    rep = validate_tree_like(_chain_2d(last))
+    assert rep.failed() == failed and rep.ok == (not failed)

@@ -130,3 +130,30 @@ def test_equality_and_hash():
     assert field_new(2, 2) == field_new(2, 2)
     assert field_new(2) != field_new(3)
     assert hash(field_new(3, 1)) == hash(Field.of_order(3))
+
+
+def test_of_order_shares_one_field_per_order_and_modulus():
+    """Tables are built once per (q, modulus); Field() itself builds afresh."""
+    assert Field.of_order(9) is Field.of_order(9)
+    assert Field.of_order(9, [1, 0, 1]) is Field.of_order(9, (1, 0, 1))
+    assert Field.of_order(9, [1, 0, 1]) == Field.of_order(9)
+    assert Field.of_order(7) is Field.of_order(7)
+    assert Field(3, 2) is not Field(3, 2) and Field(3, 2) == Field.of_order(9)
+
+
+@pytest.mark.parametrize("q, modulus, error, match", [
+    (9, [1, 1, 1], ReducibleModulusError, "reducible"),
+    (9, [1, 0], ValueError, "degree exactly 2"),
+    (9, 3, TypeError, "not iterable"),
+    (9, [[1], [0], [1]], TypeError, "unsupported operand"),
+    (9, "abc", TypeError, "string formatting"),
+    (12, None, NonPrimeError, "not a prime power"),
+    (27, None, MissingModulusError, "no default modulus"),
+    (32, None, ValueError, "extension degree 5"),
+])
+def test_of_order_errors_are_raised_every_time(q, modulus, error, match):
+    """A malformed or unhashable modulus raises as Field() does, on every
+    call: no failed build is shared."""
+    for _ in range(2):
+        with pytest.raises(error, match=match):
+            Field.of_order(q, modulus)

@@ -7,7 +7,7 @@ import random
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from ffba import (Field, GeneralizedWeight, LaurentSeries, PeriodicSource, Poly,
                   RuleSource, expand_rational, indices_sequence, parse_series,
@@ -195,10 +195,15 @@ def _walk_inputs(draw):
     """theta over q in {2, 3, 4, 9}, d in {1, 2}, each coordinate a finite
     window (its guarantee cuts the scan), an eventually periodic tail (the
     walk can certify a plateau) or a rule without a declared period (only
-    j_cutoff stops it, so the cutoff is kept small).  Digits lean towards 0
-    so that rank deficiencies, and hence wide scans, are common."""
+    j_cutoff stops it, so the cutoff is kept small).  Windows are often
+    empty or shorter than stage_budget * ell, where the echelon starts at
+    the data's width; cutoffs below the least starting width occur, and
+    d = 2 often mixes a bounded coordinate with an unbounded one.  Digits
+    lean towards 0 so that rank deficiencies, and hence wide scans, are
+    common."""
     f = Field.of_order(draw(st.sampled_from([2, 3, 4, 9])))
     d = draw(st.sampled_from([1, 2]))
+    ell, budget = draw(st.sampled_from([1, 2])), draw(st.integers(0, 8))
     code = st.sampled_from([0, 0, 0] + list(range(1, f.q)))
 
     def digits(lo: int, hi: int) -> list[int]:
@@ -206,13 +211,17 @@ def _walk_inputs(draw):
         return draw(st.lists(code, min_size=n, max_size=n))
 
     kinds = ["finite", "periodic", "rule"]
-    shared = draw(st.sampled_from(kinds + [None]))   # None: mixed coordinates
+    shared = draw(st.sampled_from(kinds + [None, "bounded+unbounded"]))
+    if shared == "bounded+unbounded" and d == 2:
+        coords = draw(st.permutations([draw(st.sampled_from(["finite", "periodic"])), "rule"]))
+    else:
+        coords = [shared if shared in kinds else draw(st.sampled_from(kinds))
+                  for _ in range(d)]
     theta, bounds = [], []
-    for _ in range(d):
-        kind = shared or draw(st.sampled_from(kinds))
+    for kind in coords:
         if kind == "finite":
-            theta.append(LaurentSeries.from_frac_coeffs(
-                f, digits(0, 60), tail="finite"))
+            n = draw(st.sampled_from([0, max(budget * ell - 1, 0), 60]))
+            theta.append(LaurentSeries.from_frac_coeffs(f, digits(0, n), tail="finite"))
             bounds.append(None)
         elif kind == "periodic":
             pre, per = digits(0, 4), digits(1, 4)
@@ -227,11 +236,10 @@ def _walk_inputs(draw):
     if any(th.guarantee is None for th, b in zip(theta, bounds) if b is None):
         j_cutoff = draw(st.integers(1, 40))
     else:
-        j_cutoff = draw(st.sampled_from([4096, 1, 2, 5, 9, 17, 30]))
+        j_cutoff = draw(st.sampled_from([4096, 1, 2, 3, 5, 7, 9, 17, 30]))
     bound = None if None in bounds else \
         max(a for a, _ in bounds) + lcm(*(p for _, p in bounds))
-    return (f, tuple(theta), weight, draw(st.sampled_from([1, 2])),
-            draw(st.integers(0, 8)), j_cutoff, bound)
+    return f, tuple(theta), weight, ell, budget, j_cutoff, bound
 
 
 def _walk_and_oracle(f, theta, weight, ell, budget, j_cutoff, bound):
@@ -244,11 +252,15 @@ def _walk_and_oracle(f, theta, weight, ell, budget, j_cutoff, bound):
     return [(s.m, s.i, s.j, s.status.value, s.scan_width) for s in tr.stages], want
 
 
-@settings(max_examples=250, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(_walk_inputs())
 def test_walk_matches_column_rescan_oracle(case):
     got, want = _walk_and_oracle(*case)
     assert got == want
+    f, theta, weight, ell, budget, j_cutoff, bound = case
+    covers = [th.guarantee for th in theta if th.guarantee is not None]
+    event("window shorter than budget * ell" if covers and min(covers) < budget * ell
+          else "j_cutoff < 8" if j_cutoff < 8 else "other")
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])

@@ -15,8 +15,9 @@ from ffba.errors import ElementCodeError, FfbaError, InsufficientPrecisionError
 from ffba.qval import BelowLimit
 from ffba.series import (FiniteSource, PeriodicSource, RationalSource,
                          RuleSource, as_vector, period_bound, recurrence_bound)
-from oracles import (OracleField, poly_mul, poly_trim, rational_expansion,
-                     rational_period_states, rational_recurrence_order)
+from oracles import (OracleField, common_denominator_order, poly_mul, poly_trim,
+                     rational_expansion, rational_period_states,
+                     rational_recurrence_order)
 
 
 def _oracle_of(field: Field) -> OracleField:
@@ -139,6 +140,31 @@ def test_recurrence_bound_is_the_oracle_order_and_below_period_bound(case, data)
     assert bound == rational_recurrence_order(o, [(num, den), (num2, den2)])
     assert bound <= period_bound(pair)
     event("bound < period_bound" if bound < period_bound(pair) else "equal")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rationals(), st.data())
+def test_mixed_recurrence_bound_is_the_common_denominator_order(case, data):
+    """A rational tail with one or two periodic ones: recurrence_bound is
+    the degree of lcm(L, t^pre (t^per - 1)), never above period_bound; a
+    finite tail leaves it None."""
+    field, o, num, den = case
+    code = st.integers(0, field.q - 1)
+    periodic = [data.draw(st.tuples(st.lists(code, max_size=4),
+                                    st.lists(code, min_size=1, max_size=5)), label="pre|per")
+                for _ in range(data.draw(st.integers(1, 2), label="periodic tails"))]
+    series = [expand_rational(Poly(field, num), Poly(field, den))] + [
+        LaurentSeries(field, Poly.zero(field), PeriodicSource(pre, per))
+        for pre, per in periodic]
+    order = data.draw(st.permutations(range(len(series))), label="order")
+    series = tuple(series[k] for k in order)
+    bound = recurrence_bound(series)
+    assert bound == common_denominator_order(
+        o, [(num, den)], [(len(pre), len(per)) for pre, per in periodic])
+    assert bound <= period_bound(series)
+    event("bound < period_bound" if bound < period_bound(series) else "equal")
+    finite = LaurentSeries.from_frac_coeffs(field, [1, 0, 1], tail="finite")
+    assert recurrence_bound(series + (finite,)) is None
 
 
 def test_one_over_t_digits_after_the_period():

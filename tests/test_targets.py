@@ -8,7 +8,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from ffba import (Field, GeneralizedWeight, LaurentSeries, PeriodicSource, Poly, c_depth,
                   c_depth_weighted, extension_counts, gamma_prefix, indices_sequence,
@@ -20,7 +20,8 @@ from ffba.hankel import HankelView
 from ffba.linalg import nullspace
 from ffba.targets import Certificate, _lexmin_of_line
 
-from oracles import OracleField, count_hyperplane, dense_solvable, left_null_lexmin_rref
+from oracles import (OracleField, count_hyperplane, dense_solvable, left_null_lexmin_rref,
+                     survivor_family)
 
 
 def _series(f, digits):
@@ -422,6 +423,34 @@ def test_survivors_two_dimensional():
         assert cyl.measure(2) == measure_after_stages(sched, m, 2)
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.sampled_from([None, "equal", "r:1/3,2/3"]),
+       st.sampled_from([1, 2]), st.sampled_from(["lexmin", "seeded-random"]), st.data())
+def test_survivor_families_match_enumeration_oracle(q, weight, ell, policy, data):
+    """Every stage's survivors, split into one value per block and one per
+    tail, are the blocks that the enumeration oracle keeps: all blocks of
+    the stage's extent with b_k . pi_k != 0 at every stage k so far."""
+    f = Field.of_order(q)
+    d = 1 if weight is None else 2
+    code = st.sampled_from([0, 0] + list(range(1, q)))
+    vec = tuple(LaurentSeries.from_frac_coeffs(
+        f, data.draw(st.lists(code, min_size=12, max_size=30)), tail="finite")
+        for _ in range(d))
+    w = parse_weight(weight, d) if weight else None
+    try:
+        cert = gamma_prefix(vec, w, ell, 4, policy=policy,
+                            seed=data.draw(st.integers(0, 99)) if policy != "lexmin" else None)
+    except BudgetExhaustedError:
+        return
+    n = 0
+    while n < len(cert.stages) and q ** cert.stages[n].i <= 1024:
+        n += 1
+    of = OracleField(f.p, f.k, list(f.modulus) if f.k > 1 else None)
+    want = survivor_family(of, [(st_.i, st_.b) for st_ in cert.stages[:n]], cert.weight.eval)
+    assert [(c.ell, set(c.blocks)) for c in survivor_cylinders(cert, n)] == want
+    event(f"{n} stages enumerated")
+
+
 # ---------------------------------------------------------------------------
 # serialization and truncation
 # ---------------------------------------------------------------------------
@@ -472,14 +501,16 @@ def _walk_case(draw):
     """theta over q in {2, 3, 4, 9} with ell in {1, 2, 3}: d = 1, or d = 2
     under the equal or r:1/3,2/3 weight.  Coordinates are finite windows
     leaning towards 0, so that scans often pass the echelon's starting
-    width and widen it, or short eventually periodic tails."""
+    width and widen it, some shorter than stage_budget * ell, where the
+    echelon starts at the window's width, or short eventually periodic
+    tails."""
     f = Field.of_order(draw(st.sampled_from([2, 3, 4, 9])))
     weight = draw(st.sampled_from([None, "equal", "r:1/3,2/3"]))
     code = st.sampled_from([0, 0] + list(range(1, f.q)))
     theta = []
     for _ in range(1 if weight is None else 2):
         if draw(st.booleans()):
-            n = draw(st.integers(8, 60))
+            n = draw(st.integers(1, 60))
             theta.append(LaurentSeries.from_frac_coeffs(
                 f, draw(st.lists(code, min_size=n, max_size=n)), tail="finite"))
         else:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -17,9 +18,9 @@ from ffba import (ComparisonReport, DepthBoundedConstant, ElementCodeError,
                   matrix_condition_check, merge_reports, parse_series, qexp)
 from ffba.verify import alternation_pairs
 
-from oracles import (OracleField, brute_constant_exponent, odometer_scan,
-                     poly_divmod, poly_mul, rational_period_states,
-                     rational_recurrence_order, scan_cap)
+from oracles import (OracleField, brute_constant_exponent, common_denominator_order,
+                     odometer_scan, poly_divmod, poly_mul, rational_period_states,
+                     scan_cap)
 
 
 def _periodic(f, rng, pre_len, per_len):
@@ -218,13 +219,17 @@ def _series_of(f, coords):
 
 def _oracle_coords(of, thetas, gammas, max_deg, prec, recurrence=True):
     """Per coordinate (theta tail, gamma tail, cap, certified), or None when
-    a cap is below one digit.  With recurrence, two rational tails certify
-    an exact zero at the degree of their reduced common denominator (the
-    scan reads at least one digit); without, at preperiod plus period."""
+    a cap is below one digit.  With recurrence, a pair of eventually
+    periodic tails of which one is rational certifies an exact zero at the
+    degree of a common denominator (the scan reads at least one digit);
+    without, and for two tails given as periodic, at preperiod plus period."""
     out = []
     for (tf, tp, tg, _, tr), (gf, gp, gg, _, gr) in zip(thetas, gammas):
-        width = max(1, rational_recurrence_order(of, (tr, gr))) \
-            if recurrence and tr is not None and gr is not None else None
+        width = None
+        if recurrence and None not in (tp, gp) and (tr, gr) != (None, None):
+            width = max(1, common_denominator_order(
+                of, [r for r in (tr, gr) if r is not None],
+                [p for p, r in ((tp, tr), (gp, gr)) if r is None]))
         cap, certified = scan_cap(tp, gp, tg, gg, max_deg, prec, zero_width=width)
         if cap < 1:
             return None
@@ -258,6 +263,30 @@ def test_rational_pairs_match_odometer_oracle(case):
     _check_against_oracle(*case)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_constant_inputs(precs=(None,), kinds=("rational", "periodic", "sparse")))
+def test_rational_against_periodic_matches_odometer_oracle(case):
+    """A rational tail against a periodic one certifies an exact zero at the
+    degree of lcm(L, t^pre (t^per - 1)), and scans that stop there agree
+    with scans over preperiod plus period."""
+    _check_against_oracle(*case)
+
+
+def test_rational_against_periodic_scans_its_common_denominator():
+    """1/P with P primitive of degree 16 over F_2, against t^-2 given as
+    periodic: lcm(P, t^2 (t - 1)) has degree 19, where a whole period of
+    1/P is 65,535 digits.  The same target given as the rational 1/t^2
+    (common denominator t^2 P) gives the same constant."""
+    f = Field(2)
+    th = expand_rational(Poly(f, [1]), Poly(f, [1, 0, 1, 1, 0, 1] + [0] * 10 + [1]))
+    rep = c_depth(th, parse_series("frac=periodic:[0,1]|[0]", f), 2)
+    as_rational = c_depth(th, expand_rational(Poly(f, [1]), Poly(f, [0, 0, 1])), 2)
+    assert rep.scan_caps == (19,) and as_rational.scan_caps == (18,)
+    assert not rep.precision_limited and rep.skipped == 0
+    assert (rep.value, rep.witness, rep.witness_depths) == \
+        (as_rational.value, as_rational.witness, as_rational.witness_depths)
+
+
 def _check_against_oracle(f, of, thetas, gammas, weight, max_deg, deg_lo, prec):
     vec, gvec = _series_of(f, thetas), _series_of(f, gammas)
     coords = _oracle_coords(of, thetas, gammas, max_deg, prec)
@@ -269,10 +298,13 @@ def _check_against_oracle(f, of, thetas, gammas, weight, max_deg, deg_lo, prec):
     heights = weight.eval if weight is not None else (lambda h: (h,))
     best, digits, depths, skipped, zero = odometer_scan(
         of, coords, deg_lo, max_deg, lambda h: (heights(h),))
-    rational = [th[4] is not None and gm[4] is not None for th, gm in zip(thetas, gammas)]
+    rational = [None not in (th[1], gm[1]) and (th[4], gm[4]) != (None, None)
+                for th, gm in zip(thetas, gammas)]
     if prec is None and any(rational):
         # a full period scans past the recurrence order and sees nothing new
-        event("rational pair")
+        event("rational pair" if any(th[4] is not None and gm[4] is not None
+                                     for th, gm in zip(thetas, gammas))
+              else "rational against periodic")
         assert odometer_scan(of, _oracle_coords(of, thetas, gammas, max_deg, None, False),
                              deg_lo, max_deg, lambda h: (heights(h),)) == \
             (best, digits, depths, skipped, zero)
@@ -522,6 +554,26 @@ def test_compare_weighted_constants_within_bound():
     assert isinstance(rep.real_exponent, Fraction)
     assert rep.real_value is not None and rep.induced_value is not None
     assert abs(rep.difference) <= rep.bound
+    assert rep.to_json() == {"real_exponent": [-2, 1], "induced_exponent": -2,
+                             "difference": [0, 1], "bound": 2, "within_bound": True,
+                             "skipped": 0, "zero_witness": False}
+
+
+def test_compare_weighted_constants_skipped_report_json():
+    """The liminf rule under a 2-digit cap: the real and induced exponents
+    differ by 1/3, and 8 candidates match to the cap (reported, not
+    hidden).  A report without values serializes its gaps as null."""
+    f = Field(2)
+    r = parse_series("frac=rule:liminf", f)
+    g = parse_series("frac=periodic:[1]|[0]", f)
+    rep = compare_weighted_constants((r, r), (g, g), ["1/3", "2/3"], 4, prec=2)
+    assert json.dumps(rep.to_json()) == (
+        '{"real_exponent": [-4, 3], "induced_exponent": -1, "difference": [1, 3], '
+        '"bound": 2, "within_bound": true, "skipped": 8, "zero_witness": false}')
+    empty = ComparisonReport(None, None, None, 2, False, 3)
+    assert empty.to_json() == {"real_exponent": None, "induced_exponent": None,
+                               "difference": None, "bound": 2, "within_bound": False,
+                               "skipped": 3, "zero_witness": False}
 
 
 def test_compare_weighted_constants_zero_witness():
@@ -535,6 +587,9 @@ def test_compare_weighted_constants_zero_witness():
                                      [Fraction(1, 2), Fraction(1, 2)], 4)
     assert rep.zero_witness
     assert rep.real_value == ZERO and rep.induced_value == ZERO
+    assert rep.to_json() == {"real_exponent": None, "induced_exponent": None,
+                             "difference": [0, 1], "bound": 2, "within_bound": True,
+                             "skipped": 0, "zero_witness": True}
 
 
 @pytest.mark.parametrize("scan", [
