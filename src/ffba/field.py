@@ -115,7 +115,10 @@ class Field:
                     raise MissingModulusError(
                         f"no default modulus for q={q}; pass one explicitly")
                 modulus = DEFAULT_MODULI[q]
-            modulus = tuple(c % p for c in modulus)
+            reduced = tuple(c % p for c in modulus)
+            if any(type(c) is not int for c in modulus):   # a float or bool reduces too
+                raise ValueError(f"modulus coefficients must be ints, not {list(modulus)!r}")
+            modulus = reduced
             if len(modulus) != k + 1 or modulus[-1] == 0:
                 raise ValueError(f"modulus must have degree exactly {k}")
             if not _pp_irreducible(modulus, p):

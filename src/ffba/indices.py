@@ -17,10 +17,12 @@ of pivots below j among the first i rows.  So j_m is one past the top
 pivot once all i_{m-1} rows have pivots below the scan stop, and i_m is
 reached by appending rows until ell of them add no pivot below j_m.  The
 scan stop is j_cutoff, the source guarantees, or the certified period
-bound.  The echelon starts at stage_budget * ell columns capped at the
-first stop (a walk that completes its budget scans to j_B >= B * ell
-anyway) and doubles up to the stop; pivots and row tags below a width do
-not depend on the echelon's width, so the start only saves re-packing.
+bound, which bounds the claim; no rank grows past the recurrence order
+D (series.recurrence_bound), which bounds the work.  The echelon starts
+at stage_budget * ell columns capped at the first stop and D (a walk
+that completes its budget scans to j_B >= B * ell anyway) and doubles up
+to them; pivots and row tags below a width do not depend on the
+echelon's width, so the start only saves re-packing.
 Each column scan that finds j_{m+1} also reads b_m off the row tags.
 
 A plateau is certified (j_m infinite) only when every coordinate's source
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field as dc_field
 from enum import Enum
 
 from .hankel import RowEchelon, default_weight
-from .series import as_vector, period_bound
+from .series import as_vector, period_bound, recurrence_bound
 from .weights import GeneralizedWeight
 
 __all__ = ["StageStatus", "Stage", "IndicesTrace", "indices_sequence",
@@ -129,9 +131,8 @@ def indices_sequence(theta, weight: GeneralizedWeight | None = None,
     trace.stages.append(Stage(0, ell, 0, StageStatus.FOUND))
     if stage_budget == 0:
         return trace
-    # columns repeat past the period bound (recurrence_bound would certify
-    # rational tails sooner: see period_bound); the extra i is margin
-    bound = period_bound(vec)
+    # the period bound (plus i as margin) bounds the claim, the recurrence order the work
+    bound, rec = period_bound(vec), recurrence_bound(vec)
     ech = RowEchelon(vec, w, 0)
     for _ in range(ell):
         ech.append()
@@ -141,9 +142,10 @@ def indices_sequence(theta, weight: GeneralizedWeight | None = None,
         # Rows are exact up to ech.cover, which the stop never exceeds.
         cert_width = None if bound is None else bound + cur_i
         scan_stop = min(x for x in (j_cutoff, ech.cover, cert_width) if x is not None)
+        work = scan_stop if rec is None else min(scan_stop, rec)
         if m == 1:
-            ech.widen(max(_START_WIDTH, min(stage_budget * ell, scan_stop)))
-        j_found = ech.full_rank_width(scan_stop)
+            ech.widen(max(_START_WIDTH, min(stage_budget * ell, work)))
+        j_found = ech.full_rank_width(work)
         if j_found is None:
             c = max(scan_stop, 0)
             status = StageStatus.INFINITE_CERTIFIED \

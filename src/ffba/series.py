@@ -21,7 +21,7 @@ source can only report BelowLimit when every scanned coefficient vanishes.
 from __future__ import annotations
 
 import json
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import islice
 from math import isqrt, lcm
 from operator import getitem
@@ -129,6 +129,15 @@ class PeriodicSource(CoefficientSource):
             return self.pre[i - 1]
         return self.per[(i - 1 - len(self.pre)) % len(self.per)]
 
+    def digits(self, start: int, stop: int) -> list[int]:
+        """Coefficients start..stop: a slice of pre, then of repeated periods."""
+        if start < 1 and stop >= start:
+            raise ValueError("coefficient indices are 1-based")
+        a, p = len(self.pre), len(self.per)
+        i = max(start, a + 1)
+        o, n = (i - a - 1) % p, max(stop - i + 1, 0)
+        return list(self.pre[start - 1:max(stop, 0)] + (self.per * ((o + n) // p + 1))[o:o + n])
+
     def period_info(self) -> tuple[int, int]:
         return (len(self.pre), len(self.per))
 
@@ -202,6 +211,11 @@ class RationalSource(CoefficientSource):
             i = start + len(out)
             out += self._coeffs[a + (i - a - 1) % p:a + p][:stop - i + 1]
         return out
+
+    @cached_property
+    def reduced_den(self) -> Poly:
+        """den over its gcd with num: the least denominator of the tail."""
+        return self.den // _gcd(self.num % self.den, self.den)
 
     def period_info(self) -> tuple[int, int]:
         if self._period is not None:
@@ -433,11 +447,11 @@ def frac_abs(theta: LaurentSeries, search_limit: int):
     for i in range(1, search_limit + 1):
         if theta.frac.coefficient(i):
             return QVal(-i)
-    info = theta.frac.period_info()
-    if info is None:
+    # deg E leading zeros of the tail c/E (recurrence_bound) force c = 0
+    rec = recurrence_bound((theta,))
+    if rec is None:
         return BelowLimit(search_limit)
-    a, p = info
-    for i in range(search_limit + 1, a + p + 1):
+    for i in range(search_limit + 1, rec + 1):
         if theta.frac.coefficient(i):
             return QVal(-i)
     return ZERO
@@ -502,8 +516,9 @@ def series_to_text(theta: LaurentSeries) -> str:
 def period_bound(series: Iterable[LaurentSeries]) -> int | None:
     """Largest preperiod plus the lcm of the periods of the tails: past this
     index every tail repeats with that common period.  None when some tail
-    has no certified eventual period.  indices_sequence and verify_certificate
-    keep it: bench/test_bench.py pins the degree-12 a/P walk as uncertified."""
+    has no certified eventual period.  It bounds what the walk and the
+    verifier claim, recurrence_bound the columns they build: bench/test_bench.py
+    pins the degree-12 a/P walk as uncertified at this bound."""
     pre, per = 0, 1
     for s in series:
         info = s.frac.period_info()
@@ -519,12 +534,15 @@ def recurrence_bound(series: Sequence[LaurentSeries]) -> int | None:
     with deg c < deg E.  E = lcm(L, D), L the lcm of the reduced rational
     denominators and D = t^pre (t^per - 1) for the other tails (largest
     preperiod, lcm of the periods); E divides the denominator behind
-    period_bound, so it is never larger.  None without certified periods."""
+    period_bound, so it is never larger.  None without certified periods.
+    Every tail satisfies E's recurrence from index 1 on, so in a stacked
+    Hankel row column k + deg E is a fixed combination of the deg E columns
+    before it, and rank M[i, j] = rank M[i, min(j, deg E)]."""
     dens, pre, per, periodic = [], 0, 1, False
     for s in series:
         src = s.frac
         if isinstance(src, RationalSource):
-            dens.append(src.den // _gcd(src.num % src.den, src.den))
+            dens.append(src.reduced_den)
             continue
         info = src.period_info()
         if info is None:

@@ -5,7 +5,8 @@ nonzero vector b_m annihilating every column of the i_m-row matrix below
 j_{m+1}; any target digit vector with b_m . pi(gamma) != 0 then blocks all
 small-denominator solutions at that extent.  b_m spans a kernel line read
 off the walk's echelon (IndicesTrace.annihilators); a certificate's last
-stage, whose kernel may be larger, runs hankel.left_null_vector.  The
+stage, whose kernel may be larger, runs hankel.left_null_vector; it and
+the verifier stop at series.recurrence_bound columns, as ranks do.  The
 construction fixes target digits stage by stage, always choosing inside
 the allowed set (exactly q^{gap-1} of the q^{gap} extensions are excluded
 per stage), and records everything needed for independent re-verification
@@ -33,7 +34,8 @@ from .hankel import HankelView, default_weight, left_null_vector
 from .indices import (DEFAULT_J_CUTOFF, MAX_J_CUTOFF, IndicesTrace, Stage,
                       StageStatus, indices_sequence)
 from .linalg import _Basis, _byte_tables
-from .series import LaurentSeries, as_vector, period_bound, series_from_json
+from .series import (LaurentSeries, as_vector, period_bound, recurrence_bound,
+                     series_from_json)
 from .weights import GeneralizedWeight
 
 __all__ = ["CertStage", "Certificate", "gamma_prefix",
@@ -275,7 +277,8 @@ def gamma_prefix(theta, weight: GeneralizedWeight | None = None,
         i_m = cur.i
         final = status != "found" or nxt.i is None or m == len(recs) - 2
         if final:   # its own elimination: a terminal kernel may exceed a line
-            b = left_null_vector(vec, w, i_m, width)
+            rec = recurrence_bound(vec)     # the same kernel: no rank grows past it
+            b = left_null_vector(vec, w, i_m, width if rec is None else min(width, rec))
         else:
             b = _lexmin_of_line(field, w, trace.annihilators[m])
         assert b is not None, "rank below extent must leave an annihilator"
@@ -365,13 +368,16 @@ def verify_certificate(cert: Certificate) -> CertificateReport:
     shaped = [g is not None and st.width <= MAX_J_CUTOFF and not past
               and all(len(cert.gamma_digits[s]) >= h for s, h in enumerate(g))
               for st, g, past in zip(stages, heights, past_data)]
+    # b . M[i, width] = 0 iff b . M[i, min(width, rec)] = 0 (recurrence_bound);
     # each coordinate's tail as bytes, long enough for every shaped stage
-    tails = [src.frac_bytes(max((g[s] - 1 + st.width for st, g, ok
-                                 in zip(stages, heights, shaped) if ok and g[s]), default=0))
+    rec = recurrence_bound(vec)
+    built = [st.width if rec is None else min(st.width, rec) for st in stages]
+    tails = [src.frac_bytes(max((g[s] - 1 + c for c, g, ok
+                                 in zip(built, heights, shaped) if ok and g[s]), default=0))
              for s, src in enumerate(vec)]
     prev_i = prev_j = prev_width = 0
     g_prev = w.eval(0)
-    for st, g_now, shape_ok, past in zip(stages, heights, shaped, past_data):
+    for st, cols, g_now, shape_ok, past in zip(stages, built, heights, shaped, past_data):
         tag = f"stage{st.m}"
         add(f"{tag}_b_nonzero", any(st.b), "")
         add(f"{tag}_i_step", st.i >= prev_i + cert.ell,
@@ -393,7 +399,7 @@ def verify_certificate(cert: Certificate) -> CertificateReport:
             if st.j_next is not None:
                 add(f"{tag}_width_matches_j", st.width == st.j_next - 1,
                     f"width {st.width}, j_next {st.j_next}")
-            annihilates = _annihilates(field, w, tails, st.b, st.width)
+            annihilates = _annihilates(field, w, tails, st.b, cols)
             add(f"{tag}_annihilates", annihilates, f"width {st.width}")
             fixed, b_new = _split(field, st.b, g_prev, g_now, cert.gamma_digits)
             d_new = [c for s, h in enumerate(g_now) for c in cert.gamma_digits[s][g_prev[s]:h]]

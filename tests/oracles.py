@@ -285,11 +285,10 @@ def _rref(f, rows):
     return mat, pivots
 
 
-def left_null_lexmin_rref(f, rows, nrows):
-    """Lex-least nonzero b with b^T * rows = 0, by the slow route: a null
-    space basis of the transpose (free-variable method), put in RREF; the
-    basis row with the largest pivot is the lex minimum.  None when the
-    rows are independent."""
+def left_kernel_basis(f, rows, nrows):
+    """A basis of the b with b^T * rows = 0: the null space of the
+    transpose by the free-variable method (empty when the rows are
+    independent)."""
     ncols = len(rows[0]) if rows else 0
     transpose = [[rows[r][c] for r in range(nrows)] for c in range(ncols)]
     red, pivots = _rref(f, transpose)
@@ -302,6 +301,14 @@ def left_null_lexmin_rref(f, rows, nrows):
         for r, col in enumerate(pivots):
             v[col] = f.neg(red[r][free])
         basis.append(v)
+    return basis
+
+
+def left_null_lexmin_rref(f, rows, nrows):
+    """Lex-least nonzero b with b^T * rows = 0, by the slow route: the
+    left kernel basis put in RREF; the basis row with the largest pivot is
+    the lex minimum.  None when the rows are independent."""
+    basis = left_kernel_basis(f, rows, nrows)
     if not basis:
         return None
     red, pivots = _rref(f, basis)

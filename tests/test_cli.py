@@ -327,6 +327,18 @@ def test_certificate_check_rejects_malformed_input(tmp_path, capsys, mutate):
     assert err.startswith("ffba: error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("modulus", [[1.0, 0, 1], [1, 0, True], [1, 0, "1"]])
+def test_certificate_check_refuses_a_modulus_of_non_ints(tmp_path, capsys, modulus):
+    golden = Path(__file__).with_name("golden_certificates.json")
+    doc = next(c["certificate"] for c in json.loads(golden.read_text())
+               if c["label"] == "window q=9 lexmin")
+    path = tmp_path / "modulus.json"
+    path.write_text(json.dumps({**doc, "modulus": modulus}))
+    code, out, err = run(capsys, "certificate-check", "--file", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert "malformed field" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 # ---------------------------------------------------------------------------

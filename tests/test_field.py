@@ -141,6 +141,16 @@ def test_of_order_shares_one_field_per_order_and_modulus():
     assert Field(3, 2) is not Field(3, 2) and Field(3, 2) == Field.of_order(9)
 
 
+@pytest.mark.parametrize("modulus", [[1.0, 0, 1], [1, 0, True], (1, 0.0, 1)])
+def test_modulus_coefficients_must_be_ints(modulus):
+    """c % p reduces a float or a bool too; both are refused, by Field()
+    and by Field.of_order, instead of building float tables or reading
+    True as 1."""
+    for build in (lambda: Field(3, 2, modulus), lambda: Field.of_order(9, modulus)):
+        with pytest.raises(ValueError, match="must be ints"):
+            build()
+
+
 @pytest.mark.parametrize("q, modulus, error, match", [
     (9, [1, 1, 1], ReducibleModulusError, "reducible"),
     (9, [1, 0], ValueError, "degree exactly 2"),

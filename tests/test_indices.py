@@ -14,7 +14,8 @@ from ffba import (Field, GeneralizedWeight, LaurentSeries, PeriodicSource, Poly,
                   parse_weight, rationality_probe)
 from ffba.indices import StageStatus
 
-from oracles import OracleField, dense_rank, rank_walk_column_rescan
+from oracles import (OracleField, dense_rank, poly_mul, rank_walk_column_rescan,
+                     rational_period_states)
 
 
 def _series(f, digits):
@@ -194,14 +195,17 @@ def test_stage_budget_caps_found_stages():
 def _walk_inputs(draw):
     """theta over q in {2, 3, 4, 9}, d in {1, 2}, each coordinate a finite
     window (its guarantee cuts the scan), an eventually periodic tail (the
-    walk can certify a plateau) or a rule without a declared period (only
-    j_cutoff stops it, so the cutoff is kept small).  Windows are often
+    walk can certify a plateau), a rule without a declared period (only
+    j_cutoff stops it, so the cutoff is kept small) or, for q < 9, a
+    rational tail num/den with deg den <= 4, often unreduced (the walk's
+    echelon stops at the reduced denominator's degree).  Windows are often
     empty or shorter than stage_budget * ell, where the echelon starts at
     the data's width; cutoffs below the least starting width occur, and
-    d = 2 often mixes a bounded coordinate with an unbounded one.  Digits
-    lean towards 0 so that rank deficiencies, and hence wide scans, are
-    common."""
+    d = 2 often mixes a bounded coordinate with an unbounded one or a
+    rational coordinate with a periodic one.  Digits lean towards 0 so
+    that rank deficiencies, and hence wide scans, are common."""
     f = Field.of_order(draw(st.sampled_from([2, 3, 4, 9])))
+    of = OracleField(f.p, f.k, list(f.modulus) if f.k > 1 else None)
     d = draw(st.sampled_from([1, 2]))
     ell, budget = draw(st.sampled_from([1, 2])), draw(st.integers(0, 8))
     code = st.sampled_from([0, 0, 0] + list(range(1, f.q)))
@@ -210,10 +214,12 @@ def _walk_inputs(draw):
         n = draw(st.integers(lo, hi))
         return draw(st.lists(code, min_size=n, max_size=n))
 
-    kinds = ["finite", "periodic", "rule"]
-    shared = draw(st.sampled_from(kinds + [None, "bounded+unbounded"]))
+    kinds = ["finite", "periodic", "rule"] + (["rational"] if f.q < 9 else [])
+    shared = draw(st.sampled_from(kinds + [None, "bounded+unbounded", "rational+periodic"]))
     if shared == "bounded+unbounded" and d == 2:
         coords = draw(st.permutations([draw(st.sampled_from(["finite", "periodic"])), "rule"]))
+    elif shared == "rational+periodic" and d == 2 and f.q < 9:
+        coords = draw(st.permutations(["rational", "periodic"]))
     else:
         coords = [shared if shared in kinds else draw(st.sampled_from(kinds))
                   for _ in range(d)]
@@ -227,6 +233,14 @@ def _walk_inputs(draw):
             pre, per = digits(0, 4), digits(1, 4)
             theta.append(LaurentSeries(f, Poly.zero(f), PeriodicSource(pre, per)))
             bounds.append((len(pre), len(per)))
+        elif kind == "rational":
+            # den = core * common, num = top * common: the common factor
+            # cancels, and periods stay below 64 for the oracle's rescans
+            common = digits(0, 1) + [1]
+            core = poly_mul(of, digits(1, 3 if f.q == 2 else 2) + [1], common)
+            num = poly_mul(of, digits(0, 4), common)
+            theta.append(expand_rational(Poly(f, num), Poly(f, core)))
+            bounds.append(rational_period_states(of, num, core, 0)[0])
         else:
             theta.append(LaurentSeries(f, Poly.zero(f), RuleSource(
                 "drawn", lambda i, ds=digits(1, 60): ds[(i - 1) % len(ds)])))
@@ -261,6 +275,8 @@ def test_walk_matches_column_rescan_oracle(case):
     covers = [th.guarantee for th in theta if th.guarantee is not None]
     event("window shorter than budget * ell" if covers and min(covers) < budget * ell
           else "j_cutoff < 8" if j_cutoff < 8 else "other")
+    event("rational coordinate" if any(th.frac.kind == "rational" for th in theta)
+          else "no rational coordinate")
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])

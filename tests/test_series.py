@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -15,9 +16,9 @@ from ffba.errors import ElementCodeError, FfbaError, InsufficientPrecisionError
 from ffba.qval import BelowLimit
 from ffba.series import (FiniteSource, PeriodicSource, RationalSource,
                          RuleSource, as_vector, period_bound, recurrence_bound)
-from oracles import (OracleField, common_denominator_order, poly_mul, poly_trim,
-                     rational_expansion, rational_period_states,
-                     rational_recurrence_order)
+from oracles import (OracleField, common_denominator_order, left_kernel_basis,
+                     poly_mul, poly_trim, rational_expansion, rational_period_states,
+                     rational_recurrence_order, stacked_matrix)
 
 
 def _oracle_of(field: Field) -> OracleField:
@@ -167,6 +168,48 @@ def test_mixed_recurrence_bound_is_the_common_denominator_order(case, data):
     assert recurrence_bound(series + (finite,)) is None
 
 
+@settings(max_examples=150, deadline=None)
+@given(_rationals(), st.data())
+def test_no_left_kernel_condition_past_the_recurrence_order(case, data):
+    """In oracle arithmetic alone: with D the common denominator order of
+    a rational tail and, for d = 2, a periodic one, b . M[i, D] = 0 exactly
+    when b . M[i, W] = 0, for every W in D..D + 2i, b drawn from the left
+    kernel of M[i, D] or at random."""
+    field, o, num, den = case
+    code = st.integers(0, field.q - 1)
+    i = data.draw(st.integers(1, 6), label="i")
+    periods = []
+    if data.draw(st.booleans(), label="d = 2"):
+        periods.append(data.draw(st.tuples(st.lists(code, max_size=3),
+                                           st.lists(code, min_size=1, max_size=4)),
+                                 label="pre|per"))
+        heights = (data.draw(st.integers(0, i), label="rows of block 1"),)
+        heights += (i - heights[0],)
+    else:
+        heights = (i,)
+    D = common_denominator_order(o, [(num, den)], [(len(a), len(p)) for a, p in periods])
+    count = i + D + 2 * i
+    tails = [rational_expansion(o, num, den, count)[1]] + [
+        (list(pre) + list(per) * count)[:count] for pre, per in periods]
+
+    def annihilates(b, width):
+        rows = stacked_matrix(lambda s, n: tails[s][n - 1], lambda _: heights, i, width)
+        return not any(reduce(o.add, (o.mul(x, row[c]) for x, row in zip(b, rows)), 0)
+                       for c in range(width))
+
+    rows = stacked_matrix(lambda s, n: tails[s][n - 1], lambda _: heights, i, D)
+    basis = left_kernel_basis(o, rows, i)
+    b = [data.draw(code, label="b entry") for _ in range(i)]
+    if basis and data.draw(st.booleans(), label="b from the kernel"):
+        b = [0] * i
+        for v in basis:
+            c = data.draw(code, label="kernel coefficient")
+            b = [o.add(x, o.mul(c, y)) for x, y in zip(b, v)]
+    at_d = annihilates(b, D)
+    assert all(annihilates(b, w) == at_d for w in range(D, D + 2 * i + 1))
+    event("b annihilates" if at_d else "b does not annihilate")
+
+
 def test_one_over_t_digits_after_the_period():
     """1/t has preperiod 1 and period 1; digits read after the period is
     known are still 1, 0, 0, ... (index 1 lies before a + p)."""
@@ -223,6 +266,29 @@ def test_periodic_source_coefficients():
     assert [src.coefficient(i) for i in range(1, 8)] == [1, 0, 2, 0, 2, 0, 2]
     assert src.period_info() == (1, 2)
     assert src.guarantee is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=5),
+       st.lists(st.integers(0, 3), min_size=1, max_size=5), st.data())
+def test_periodic_digits_are_the_coefficients(pre, per, data):
+    """digits(start, stop) by slices is [coefficient(i) for i in
+    start..stop], for starts inside pre and past it and for empty ranges."""
+    src = PeriodicSource(pre, per)
+    start = data.draw(st.integers(1, len(pre) + 2 * len(per) + 2), label="start")
+    stop = data.draw(st.integers(start - 2, start + 3 * len(per) + 5), label="stop")
+    assert src.digits(start, stop) == [src.coefficient(i) for i in range(start, stop + 1)]
+    event("empty" if stop < start else "start inside pre" if start <= len(pre)
+          else "start past pre")
+
+
+def test_periodic_digits_below_index_one():
+    """An index below 1 raises as coefficient() does; an empty range does not."""
+    src = PeriodicSource([1], [0, 2])
+    for start, stop in [(0, 0), (0, 5), (-2, 1)]:
+        with pytest.raises(ValueError):
+            src.digits(start, stop)
+    assert src.digits(0, -1) == [] and src.digits(-3, -5) == []
 
 
 @pytest.mark.parametrize("text", ["frac=[5,1,0,1]", "frac=finite:[1,2]",
@@ -288,6 +354,34 @@ def test_frac_abs_certified_zero_and_below_limit():
     # certified source with the first 1 beyond the scan window
     late = parse_series("frac=periodic:[0,0,0,0,0,1]|[0]", f)
     assert frac_abs(late, 2) == qexp(-6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rationals(), st.integers(1, 6), st.integers(0, 8))
+def test_frac_abs_scans_to_the_recurrence_order(case, search_limit, lead):
+    """frac_abs scans to recurrence_bound and gives what a scan to
+    preperiod + period (oracle digits and period) gives, for the rational
+    tail and for the same tail as pre|per behind `lead` zeros; first
+    nonzero digits past search_limit occur."""
+    field, o, num, den = case
+    (a, p), _ = rational_period_states(o, num, den, 0)
+    digits = rational_period_states(o, num, den, a + p)[1]
+    first = next((k for k, c in enumerate(digits, 1) if c), None)
+    want = ZERO if first is None else qexp(-first)
+    assert frac_abs(expand_rational(Poly(field, num), Poly(field, den)), search_limit) == want
+    periodic = LaurentSeries(field, Poly.zero(field),
+                             PeriodicSource([0] * lead + digits[:a], digits[a:]))
+    assert frac_abs(periodic, search_limit) == (ZERO if first is None else qexp(-first - lead))
+    event("zero" if first is None else "first nonzero past search_limit"
+          if first + lead > search_limit else "within search_limit")
+
+
+def test_frac_abs_needs_no_period_search():
+    """1/(t^45 + t^4 + t^3 + t + 1) has a period past the search cap;
+    frac_abs still finds its first nonzero digit, at the recurrence order."""
+    f = Field.of_order(2)
+    th = expand_rational(Poly(f, [1]), Poly(f, [1, 1, 0, 1, 1] + [0] * 40 + [1]))
+    assert frac_abs(th, 8) == qexp(-45)
 
 
 def test_abs_qval_includes_poly_part():

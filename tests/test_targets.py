@@ -6,21 +6,25 @@ import dataclasses
 import itertools
 import json
 import random
+from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from ffba import (Field, GeneralizedWeight, LaurentSeries, PeriodicSource, Poly, c_depth,
-                  c_depth_weighted, extension_counts, gamma_prefix, indices_sequence,
-                  measure_after_stages, parse_series, parse_weight, qexp, register_rule,
-                  schedule_from_certificate, survivor_cylinders, validate_tree_like,
-                  verify_certificate)
+                  c_depth_weighted, expand_rational, extension_counts, gamma_prefix,
+                  indices_sequence, measure_after_stages, parse_series, parse_weight,
+                  qexp, register_rule, schedule_from_certificate, survivor_cylinders,
+                  validate_tree_like, verify_certificate)
 from ffba.errors import BudgetExhaustedError, CertificateFormatError
 from ffba.hankel import HankelView
+from ffba.indices import StageStatus
 from ffba.linalg import nullspace
 from ffba.targets import Certificate, _lexmin_of_line
 
-from oracles import (OracleField, count_hyperplane, dense_solvable, left_null_lexmin_rref,
+from oracles import (OracleField, count_hyperplane, dense_solvable, left_kernel_basis,
+                     left_null_lexmin_rref, rational_expansion, rational_recurrence_order,
                      survivor_family)
 
 
@@ -290,6 +294,16 @@ def test_unusable_fields_are_malformed(change):
         Certificate.from_json(doc)
 
 
+@pytest.mark.parametrize("modulus", [[1.0, 0, 1], [1, 0, True], [1, 0, "1"]])
+def test_modulus_entries_must_be_ints(modulus):
+    """A float, bool or string modulus entry is a format error: a float
+    used to end verification in a bare TypeError, and a bool was accepted."""
+    golden = json.loads(Path(__file__).with_name("golden_certificates.json").read_text())
+    doc = next(c["certificate"] for c in golden if c["label"] == "window q=9 lexmin")
+    with pytest.raises(CertificateFormatError):
+        Certificate.from_json({**doc, "modulus": modulus})
+
+
 def test_a_certificate_without_stages_fails():
     """With no stage there is no proof of any bound: t^-2 with its stages
     stripped would claim c >= q^-2, but N = t^2 gives 0."""
@@ -502,17 +516,24 @@ def _walk_case(draw):
     under the equal or r:1/3,2/3 weight.  Coordinates are finite windows
     leaning towards 0, so that scans often pass the echelon's starting
     width and widen it, some shorter than stage_budget * ell, where the
-    echelon starts at the window's width, or short eventually periodic
-    tails."""
+    echelon starts at the window's width, short eventually periodic tails,
+    or rational tails num/den with deg den <= 3 (the terminal stage's
+    elimination stops at the recurrence order)."""
     f = Field.of_order(draw(st.sampled_from([2, 3, 4, 9])))
     weight = draw(st.sampled_from([None, "equal", "r:1/3,2/3"]))
     code = st.sampled_from([0, 0] + list(range(1, f.q)))
     theta = []
     for _ in range(1 if weight is None else 2):
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(["finite", "periodic", "rational"]))
+        if kind == "finite":
             n = draw(st.integers(1, 60))
             theta.append(LaurentSeries.from_frac_coeffs(
                 f, draw(st.lists(code, min_size=n, max_size=n)), tail="finite"))
+        elif kind == "rational":
+            deg = draw(st.integers(1, 3 if f.q < 9 else 1))
+            den = draw(st.lists(code, min_size=deg, max_size=deg)) + [1]
+            num = draw(st.lists(code, max_size=deg + 1))
+            theta.append(expand_rational(Poly(f, num), Poly(f, den)))
         else:
             pre = draw(st.lists(code, max_size=6))
             per = draw(st.lists(code, min_size=1, max_size=6))
@@ -526,7 +547,8 @@ def _walk_case(draw):
 def test_walk_annihilators_are_the_lexmin_annihilators(case):
     """Every column scan that finds j_{m+1} leaves b_m on the trace; in
     stacked order with a leading 1 it is the lex-least left annihilator of
-    M[i_m, j_{m+1} - 1], and the certificate's found stages use it."""
+    M[i_m, j_{m+1} - 1], and the certificate's found stages use it.  The
+    last stage's b is the lex-least left annihilator at its full width."""
     f, theta, weight, ell, budget = case
     tr = indices_sequence(theta, weight, ell, budget)
     of = OracleField(f.p, f.k, list(f.modulus) if f.k > 1 else None)
@@ -542,6 +564,10 @@ def test_walk_annihilators_are_the_lexmin_annihilators(case):
     for cs in cert.stages:
         if cs.status == "found":
             assert cs.b == want[cs.m]
+    last = cert.stages[-1]
+    rows = HankelView.of(theta, tr.weight, last.i, last.width).stacked_rows()
+    assert last.b == tuple(left_null_lexmin_rref(of, rows, last.i))
+    event(f"last stage {last.status}")
 
 
 @pytest.mark.parametrize("q, weight", [(2, None), (3, None), (3, "equal"),
@@ -609,6 +635,67 @@ def test_packed_annihilation_check_matches_dense_dots(case):
     got = {name: (ok, detail) for name, ok, detail in verify_certificate(cert).checks
            if name.endswith("_annihilates")}
     assert got == want
+
+
+# primitive denominators: t^12 + t^6 + t^4 + t + 1 over F_2 (period 4095,
+# past j_cutoff) and t^3 + 2t + 1 over F_3 (period 26, a certified plateau)
+_A_OVER_P = [(2, [1, 1, 0, 1], [1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1]),
+             (3, [2, 1], [1, 2, 0, 1])]
+
+
+@pytest.mark.parametrize("q, num, den", _A_OVER_P)
+def test_tampered_rational_last_stage_fails_annihilates(q, num, den):
+    """The verifier checks a rational certificate's annihilators over the
+    recurrence order D's columns only, yet a last-stage b changed in one
+    entry, or replaced by a left kernel vector of the first w <= D + 1
+    columns, gets the verdict of oracle dots against all claimed columns;
+    both verdicts occur."""
+    f = Field.of_order(q)
+    of = OracleField(q)
+    cert = gamma_prefix(expand_rational(Poly(f, num), Poly(f, den)), ell=1,
+                        stage_budget=len(den) + 8)
+    last = cert.stages[-1]
+    assert verify_certificate(cert).ok and last.status == ("cutoff" if q == 2 else "infinite")
+    tail = rational_expansion(of, num, den, last.i + last.width)[1]
+    candidates = []
+    for k, c in itertools.product(range(last.i), range(1, q)):
+        b = list(last.b)
+        b[k] = of.add(b[k], c)
+        candidates.append(b)
+    for w in range(rational_recurrence_order(of, [(num, den)]) + 2):
+        rows = [tail[r:r + w] for r in range(last.i)]
+        candidates += left_kernel_basis(of, rows, last.i)
+    verdicts = set()
+    for b in candidates:
+        want = not any(
+            reduce(of.add, (of.mul(x, tail[r + col]) for r, x in enumerate(b)), 0)
+            for col in range(last.width))
+        bad = _tamper_stage(cert, len(cert.stages) - 1, b=tuple(b))
+        checks = {name: ok for name, ok, _ in verify_certificate(bad).checks}
+        assert checks[f"stage{last.m}_annihilates"] == want
+        verdicts.add(want)
+    assert verdicts == {False, True}
+
+
+def test_rational_walk_construction_and_check_fetch_few_digits():
+    """a/P over F_2 with deg P = 16 (period 2^16 - 1): the walk,
+    gamma_prefix and verify_certificate read no tail digit past index 64,
+    and the walk still ends exhausted at j_cutoff 4096."""
+    f = Field.of_order(2)
+    theta = expand_rational(Poly(f, [1, 0, 1]), Poly(f, [1, 0, 1, 1, 0, 1] + [0] * 10 + [1]))
+    read, digits = [0], theta.frac.digits
+
+    def counted(start, stop):
+        read[0] = max(read[0], stop)
+        return digits(start, stop)
+
+    theta.frac.digits = counted
+    tr = indices_sequence(theta, ell=1, stage_budget=24)
+    cert = gamma_prefix(theta, ell=1, stage_budget=24, trace=tr)
+    assert verify_certificate(cert).ok and cert.stages[-1].status == "cutoff"
+    assert read[0] <= 64
+    last = tr.stages[-1]
+    assert (last.status, last.scan_width) == (StageStatus.EXHAUSTED, 4096)
 
 
 # ---------------------------------------------------------------------------
