@@ -69,15 +69,15 @@ def _parse_series_arg(text: str, field: Field) -> LaurentSeries:
     return s
 
 
-def _theta_vector(args, field: Field) -> tuple[LaurentSeries, ...]:
-    return tuple(_parse_series_arg(t, field) for t in args.theta)
-
-
-def _weight_of(args, d: int) -> GeneralizedWeight | None:
+def _inputs(args) -> tuple[Field, tuple[LaurentSeries, ...], GeneralizedWeight | None]:
+    """The field, the theta vector and its weight (equal when d > 1 and
+    none is given)."""
+    field = _field_of(args)
+    vec = tuple(_parse_series_arg(t, field) for t in args.theta)
     spec = getattr(args, "weight", None)
-    if spec is None:
-        return GeneralizedWeight.equal(d) if d > 1 else None
-    return parse_weight(spec, d)
+    if spec is not None:
+        return field, vec, parse_weight(spec, len(vec))
+    return field, vec, GeneralizedWeight.equal(len(vec)) if len(vec) > 1 else None
 
 
 def _render_text(obj, indent: str = "") -> list[str]:
@@ -144,9 +144,7 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_hankel(args) -> int:
-    field = _field_of(args)
-    vec = _theta_vector(args, field)
-    weight = _weight_of(args, len(vec))
+    field, vec, weight = _inputs(args)
     view = HankelView.of(vec, weight, args.rows, args.cols)
     rows = view.stacked_rows()
     _emit({
@@ -161,9 +159,7 @@ def _cmd_hankel(args) -> int:
 
 
 def _cmd_indices(args) -> int:
-    field = _field_of(args)
-    vec = _theta_vector(args, field)
-    weight = _weight_of(args, len(vec))
+    _, vec, weight = _inputs(args)
     trace = indices_sequence(vec, weight, args.ell,
                              stage_budget=args.stages, j_cutoff=args.j_cutoff)
     verdict = rationality_probe(vec, args.ell, stage_budget=args.stages,
@@ -176,9 +172,7 @@ def _cmd_indices(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
-    field = _field_of(args)
-    vec = _theta_vector(args, field)
-    weight = _weight_of(args, len(vec))
+    _, vec, weight = _inputs(args)
     policy = args.policy
     if policy == "lexmin" and args.seed is not None:
         policy = "seeded-random"
@@ -190,10 +184,8 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    field = _field_of(args)
-    vec = _theta_vector(args, field)
+    field, vec, weight = _inputs(args)
     gvec = tuple(_parse_series_arg(g, field) for g in args.gamma)
-    weight = _weight_of(args, len(vec))
     prec = args.prec if args.prec is not None \
         else args.max_deg + args.ell + 8
     report = c_depth_weighted(vec, gvec, weight, args.max_deg, prec=prec)
@@ -204,12 +196,9 @@ def _cmd_verify(args) -> int:
     if report.value is None:
         status = EXIT_VERIFY
         out["verdict"] = "inconclusive"
-    elif args.expect_exp is not None:
-        ok = report.value == qexp(args.expect_exp)
-        out["verdict"] = "pass" if ok else "fail"
-        status = EXIT_OK if ok else EXIT_VERIFY
-    elif args.min_exp is not None:
-        ok = report.value >= qexp(args.min_exp)
+    elif args.expect_exp is not None or args.min_exp is not None:
+        ok = (report.value == qexp(args.expect_exp) if args.expect_exp is not None
+              else report.value >= qexp(args.min_exp))
         out["verdict"] = "pass" if ok else "fail"
         status = EXIT_OK if ok else EXIT_VERIFY
     _emit(out, args.format)
@@ -217,8 +206,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    field = _field_of(args)
-    vec = _theta_vector(args, field)
+    field, vec, _ = _inputs(args)
     gamma = _parse_series_arg(args.gamma, field)
     report = find_witness_small(vec[0], gamma, max_m=args.max_m)
     out = {
@@ -234,9 +222,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_m0(args) -> int:
-    field = _field_of(args)
-    vec = _theta_vector(args, field)
-    weight = _weight_of(args, len(vec))
+    field, vec, weight = _inputs(args)
     report = m0_structure(vec, args.depth, weight)
     out = report.to_json()
     out["q"] = field.q

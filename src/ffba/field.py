@@ -261,13 +261,7 @@ def _shared(p: int, k: int, modulus: tuple[int, ...] | None) -> Field:
 _ELEM_OPS = ("add", "sub", "mul", "div", "neg", "inv")
 
 
-def field_new(p: int, k: int = 1, modulus: Sequence[int] | None = None) -> Field:
-    """Build the table-backed context for F_{p^k}.
-
-    ``modulus`` (low-degree-first coefficients of a degree-k irreducible
-    over F_p) is required only when k > 1 and no default is shipped.
-    """
-    return Field(p, k, modulus)
+field_new = Field
 
 
 def elem_arith(ctx: Field, a: int, b: int | None, op: str) -> int:

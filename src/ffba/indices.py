@@ -124,8 +124,8 @@ def indices_sequence(theta, weight: GeneralizedWeight | None = None,
         raise ValueError("ell must be a positive integer")
     if stage_budget < 0:
         raise ValueError("stage_budget must be nonnegative")
-    if j_cutoff > MAX_J_CUTOFF:
-        raise ValueError(f"j_cutoff {j_cutoff} exceeds the supported {MAX_J_CUTOFF}")
+    if not 0 <= j_cutoff <= MAX_J_CUTOFF:
+        raise ValueError(f"j_cutoff {j_cutoff} outside the supported 0..{MAX_J_CUTOFF}")
     trace = IndicesTrace(ell=ell, weight=w, j_cutoff=j_cutoff,
                          stage_budget=stage_budget)
     trace.stages.append(Stage(0, ell, 0, StageStatus.FOUND))

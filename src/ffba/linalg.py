@@ -1,19 +1,21 @@
 """Exact linear algebra over F_q on int-coded vectors.
 
-Two layers:
+One incremental echelon basis (_Basis, with RankEngine as a small public
+face) does all elimination.  Vectors are packed one byte per entry into
+Python ints; a row step is one XOR over F_2 and one bytes.translate
+through a precomputed table otherwise.  Entries past a data width form a
+tag that row steps carry but pivots ignore, so a single pass yields the
+row combinations behind each reduced vector.  On it sit the
+lexicographically least left annihilator (left_null_lexmin, tagged with
+the identity) and hankel.RowEchelon, whose pivots give every rank of the
+rank walk and the square spectrum, and whose tags give the walk's
+annihilators.  Appends never rescan earlier vectors.
 
-* an incremental echelon basis (_Basis, with RankEngine as a small public
-  face).  Vectors are packed one byte per entry into Python ints; a row
-  step is one XOR over F_2 and one bytes.translate through a precomputed
-  table otherwise.  Entries past a data width form a tag that row steps
-  carry but pivots ignore, so a single pass yields the row combinations
-  behind each reduced vector.  On it sit the lexicographically least left
-  annihilator (left_null_lexmin, tagged with the identity) and
-  hankel.RowEchelon, whose pivots give every rank of the rank walk and the
-  square spectrum, and whose tags give the walk's annihilators.  Appends
-  never rescan earlier vectors.
-* dense helpers -- RREF, solving, rank and null spaces, used where a
-  particular solution or a whole null space basis is needed.
+The dense routines are views of one such echelon of a matrix's rows
+(_echelon, a right-hand side riding as each row's tag): rank_dense is its
+rank, solve and nullspace back-substitute from the top pivot down
+(_Basis.forced), and rref reduces each stored vector against the later
+pivots.
 
 Vectors are sequences of field element codes; "first nonzero position"
 always means the lowest index, and lexicographic order compares positions
@@ -112,6 +114,17 @@ class _Basis:
             self.rank += 1
         return p, v
 
+    def forced(self, p: int, x: Sequence[int]) -> int | None:
+        """x_p as fixed by the stored vector with pivot p: its tag at
+        position len(x) less its later entries against x's; None when p is
+        free."""
+        row = self._pivots.get(p)
+        if row is None:
+            return None
+        n, f = len(x), self._field
+        entries = row.to_bytes(n + 1, "little")
+        return f.sub(entries[n], f.dot(entries[p + 1:n], x[p + 1:]))
+
     def _slow_step(self, v: int, row: int, c: int) -> int:
         f = self._field
         n = (max(v.bit_length(), row.bit_length()) + 7) >> 3
@@ -156,75 +169,67 @@ class RankEngine:
 
 
 # ---------------------------------------------------------------------------
-# Dense routines
+# Dense views of one echelon
 # ---------------------------------------------------------------------------
+
+def _echelon(field: Field, rows: Sequence[Sequence[int]],
+             rhs: Sequence[int] = ()) -> tuple[_Basis, int, bool]:
+    """(basis, width, inconsistent): the rows in one lowest-pivot echelon,
+    rhs[k] as row k's tag past the data width; inconsistent when some
+    row's data reduced to zero while its tag did not."""
+    width = len(rows[0]) if rows else 0
+    if len(set(map(len, rows))) > 1:
+        raise ValueError("rows differ in length")
+    basis, bad = _Basis(field, width), False
+    for k, row in enumerate(rows):
+        p, v = basis.insert(basis.pack([*row, rhs[k]] if rhs else row))
+        bad |= p < 0 < v
+    return basis, width, bad
+
+
+def _back_substitute(basis: _Basis, x: list[int]) -> list[int]:
+    """Fill x's pivot entries from the top pivot down; the free entries
+    stay as given."""
+    for p in sorted(basis._pivots, reverse=True):
+        x[p] = basis.forced(p, x)
+    return x
+
 
 def rref(field: Field, rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form; returns (reduced rows, pivot column list)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    f = field
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        sel = None
-        for r in range(row, len(m)):
-            if m[r][col]:
-                sel = r
-                break
-        if sel is None:
-            continue
-        m[row], m[sel] = m[sel], m[row]
-        inv = f.inv(m[row][col])
-        m[row] = [f.mul(inv, x) for x in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col]:
-                c = m[r][col]
-                m[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(m):
-            break
-    return m, pivots
+    basis, width, _ = _echelon(field, rows)
+    pivots = sorted(basis._pivots)
+    red: dict[int, int] = {}
+    for k in range(len(pivots) - 1, -1, -1):
+        v = basis._pivots[pivots[k]]
+        for later in pivots[k + 1:]:
+            v = basis.sub_multiple(v, red[later], (v >> (8 * later)) & 255)
+        red[pivots[k]] = v
+    out = [list(red[p].to_bytes(width, "little")) for p in pivots]
+    return out + [[0] * width for _ in range(len(rows) - len(out))], pivots
 
 
 def rank_dense(field: Field, rows: Sequence[Sequence[int]]) -> int:
-    return len(rref(field, rows)[1])
+    return _echelon(field, rows)[0].rank
 
 
 def solve(field: Field, rows: Sequence[Sequence[int]],
           rhs: Sequence[int]) -> list[int] | None:
     """One solution x of rows*x = rhs (free variables set to 0), or None."""
-    if not rows:
-        return None if any(rhs) else []
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(field, aug)
-    if ncols in pivots:
-        return None
-    x = [0] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = red[r][ncols]
-    return x
+    if len(rhs) != len(rows):
+        raise ValueError(f"{len(rhs)} right-hand sides for {len(rows)} rows")
+    basis, width, bad = _echelon(field, rows, rhs)
+    return None if bad else _back_substitute(basis, [0] * width)
 
 
 def nullspace(field: Field, rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
-    """Basis of {x : rows*x = 0} via the standard free-variable method."""
-    red, pivots = rref(field, rows) if rows else ([], [])
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [0] * ncols
-        v[free] = 1
-        for r, col in enumerate(pivots):
-            if free < len(red[r]):
-                v[col] = field.neg(red[r][free])
-        basis.append(v)
-    return basis
+    """Basis of {x : rows*x = 0}: one vector per free column, 1 there and
+    0 at the other free columns."""
+    basis, width, _ = _echelon(field, rows)
+    if ncols < width:
+        raise ValueError(f"ncols {ncols} is less than the row width {width}")
+    return [_back_substitute(basis, [int(k == free) for k in range(ncols)])
+            for free in range(ncols) if free not in basis._pivots]
 
 
 def left_null_lexmin(field: Field, rows: Sequence[Sequence[int]],

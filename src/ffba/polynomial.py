@@ -8,7 +8,7 @@ and no degree (deg reports -1 as a sentinel).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .field import Field
 from .qval import QVal, ZERO

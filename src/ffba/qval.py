@@ -99,9 +99,7 @@ class QVal:
 ZERO = QVal(None)
 
 
-def qexp(e: Exponent) -> QVal:
-    """The value q^e."""
-    return QVal(e)
+qexp = QVal
 
 
 class BelowLimit:

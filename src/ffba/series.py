@@ -160,14 +160,17 @@ class RationalSource(CoefficientSource):
 
     The remainder r (deg den codes, constant first) steps to t*r mod den,
     and the quotient digit is r's top code over den's leading coefficient.
-    With t^e the power of t dividing den, r_k = t^k r_0 mod den is on the
-    cycle exactly when t^e divides it, so the preperiod a is the least such
-    k <= e.  The period is the least p >= 1 with t^p r_a = r_a, and p <
-    q^(deg den - e): baby-step giant-step (Shanks) with m = isqrt(q^(deg den
-    - e)) + 1, giant steps summing packed rows, finds every p below m^2.
-    When m * deg den is over the cap, m drops to isqrt(cap) + 1, so a
-    period up to the cap is still found and a longer one raises
-    TooLargeToEnumerateError.
+    Digits come from one cache that the division extends on demand, so a
+    range's digits never depend on which calls came before.
+
+    period_info searches for the period only when asked.  With t^e the power
+    of t dividing den, r_k = t^k r_0 mod den is on the cycle exactly when
+    t^e divides it, so the preperiod a is the least such k <= e.  The period
+    is the least p >= 1 with t^p r_a = r_a, and p < q^(deg den - e):
+    baby-step giant-step (Shanks) with m = isqrt(q^(deg den - e)) + 1, giant
+    steps summing packed rows, finds every p below m^2.  When m * deg den is
+    over the cap, m drops to isqrt(cap) + 1, so a period up to the cap is
+    still found and a longer one raises TooLargeToEnumerateError.
     """
 
     kind = "rational"
@@ -199,18 +202,13 @@ class RationalSource(CoefficientSource):
         return self.digits(i, i)[0]
 
     def digits(self, start: int, stop: int) -> list[int]:
-        """Long division runs to index a + p at most; past it the digits
-        are slices of the period block."""
+        """Digits start..stop, from the cache that long division extends
+        up to stop."""
         if start < 1:
             raise ValueError("coefficient indices are 1-based")
-        a, p = self._period or (stop, 0)
-        need = min(stop, a + p) - len(self._coeffs)
-        self._coeffs += [c for c, _ in islice(self._division, max(need, 0))]
-        out = self._coeffs[start - 1:stop]
-        while len(out) < stop - start + 1:
-            i = start + len(out)
-            out += self._coeffs[a + (i - a - 1) % p:a + p][:stop - i + 1]
-        return out
+        self._coeffs += [c for c, _ in islice(self._division,
+                                              max(stop - len(self._coeffs), 0))]
+        return self._coeffs[start - 1:stop]
 
     @cached_property
     def reduced_den(self) -> Poly:

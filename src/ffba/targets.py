@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .cantor import ConstructionSchedule, CylinderSet, as_schedule
+from .cantor import CylinderSet, as_schedule
 from .errors import (BudgetExhaustedError, CertificateFormatError,
                      InsufficientPrecisionError, TooLargeToEnumerateError)
 from .field import Field
@@ -467,10 +467,7 @@ def extension_counts(cert: Certificate, m: int) -> ExtensionCount:
     return ExtensionCount(q ** gap, q ** (gap - 1))
 
 
-def schedule_from_certificate(cert: Certificate) -> ConstructionSchedule:
-    """The explicit construction schedule realized by the certificate:
-    stage lengths g(i_m) - g(i_{m-1}), removal exponent gap - 1."""
-    return as_schedule(cert)
+schedule_from_certificate = as_schedule
 
 
 def survivor_cylinders(cert: Certificate,
@@ -484,8 +481,8 @@ def survivor_cylinders(cert: Certificate,
     the tail, so each stage takes one value per block and one per tail, and
     keeps the tails whose value does not cancel the block's."""
     n = len(cert.stages) if stage_count is None else stage_count
-    if n > len(cert.stages):
-        raise ValueError("certificate has fewer stages than requested")
+    if not 0 <= n <= len(cert.stages):
+        raise ValueError(f"stage count {n} outside 0..{len(cert.stages)}")
     q = cert.field.q
     f = cert.field
     w = cert.weight

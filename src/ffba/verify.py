@@ -197,15 +197,6 @@ class _Prefix:
             return q ** (free - 1) * (q - 1)
         return q ** free if top >> (8 * h + 8) else 0
 
-    def forced(self, k: int, n: list[int]) -> int | None:
-        """n_k as fixed by n_{k+1}, ..., n_h; None when n_k is free."""
-        row = self.basis._pivots.get(k)
-        if row is None:
-            return None
-        entries = row.to_bytes(self.h + 2, "little")
-        f = self.basis._field
-        return f.sub(entries[-1], f.dot(entries[k + 1:-1], n[k + 1:]))
-
 
 def _prefix_sets(field: Field, ctxs: list[_Coord], h: int, exp) -> list:
     """Signed prefix sets whose signed counts add up to the degree-h
@@ -239,7 +230,7 @@ def _least_point(field: Field, h: int, sets) -> list[int]:
     n = [0] * (h + 1)
     live = [(sign, p) for sign, p in sets if p.ok]
     for k in range(h, -1, -1):
-        opts = [(sign, p, p.forced(k, n),
+        opts = [(sign, p, p.basis.forced(k, n),
                  q ** (k - sum(j < k for j in p.basis._pivots))) for sign, p in live]
         n[k] = next(c for c in range(1 if k == h else 0, q)
                     if sum(sign * size for sign, _, f, size in opts
@@ -363,6 +354,8 @@ def _constant(vec: tuple[LaurentSeries, ...], gamma, exponents, max_deg: int,
     exponents(h)."""
     field = vec[0].field
     contexts = _coord_contexts(vec, _target(vec, gamma), max_deg, prec)
+    if not 0 <= deg_lo <= max_deg:
+        raise ValueError(f"degree window {deg_lo}..{max_deg} is empty or negative")
     best, digits, depths, skipped = _scan_range(field, contexts, deg_lo,
                                                 max_deg, exponents)
     return DepthBoundedConstant(

@@ -76,6 +76,7 @@ class GeneralizedWeight:
 
     @classmethod
     def from_real(cls, r) -> "GeneralizedWeight":
+        """The integer weight induced by a real weight r (greedy steps)."""
         rr = parse_real_weight(r)
         return cls(len(rr), "real", real=rr)
 
@@ -169,21 +170,8 @@ def parse_weight(text: str, d: int | None = None) -> GeneralizedWeight:
     raise ValueError(f"cannot parse weight {text!r}")
 
 
-def weight_eval(g: GeneralizedWeight, h: int) -> tuple[int, ...]:
-    """g(h): the d-vector of cumulative step counts at height h."""
-    return g.eval(h)
-
-
-def induced_weight(r, h_max: int = 0) -> GeneralizedWeight:
-    """Integer weight induced by a real weight r (greedy step assignment).
-
-    ``h_max`` just pre-extends the memoized assignment; evaluation beyond
-    it stays lazy.
-    """
-    g = GeneralizedWeight.from_real(r)
-    if h_max > 0:
-        g.eval(h_max)
-    return g
+weight_eval = GeneralizedWeight.eval
+induced_weight = GeneralizedWeight.from_real
 
 
 def deviation_range(r, h_max: int) -> tuple[Fraction, Fraction]:

@@ -152,6 +152,14 @@ def test_cutoff_marks_exhausted():
     assert rationality_probe(th, trace=tr).kind == "irrational_witnessed"
 
 
+def test_negative_cutoff_is_refused():
+    th = parse_series("frac=rule:liminf", Field(2))
+    for cutoff in (-5, -1):
+        with pytest.raises(ValueError):
+            indices_sequence(th, ell=1, j_cutoff=cutoff)
+    assert indices_sequence(th, ell=1, j_cutoff=0).exhausted
+
+
 def test_verdict_unknown_before_first_stage():
     f = Field(2)
     th = parse_series("frac=periodic:[0,1]|[0]", f)

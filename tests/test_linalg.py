@@ -1,4 +1,5 @@
-"""Row-space engine and dense helpers against brute-force references."""
+"""Row-space engine and the dense views of its echelon against
+brute-force references."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from ffba.linalg import (RankEngine, left_null_lexmin, nullspace, rank_dense, rr
 
 from oracles import (OracleField, dense_rank, dense_solvable,
                      left_annihilators, left_null_lexmin_rref)
+from oracles import _rref as oracle_rref
 
 FIELDS = [Field(2), Field(3), Field(2, 2), Field(3, 2)]
 
@@ -178,3 +180,83 @@ def test_left_null_lexmin_matches_rref_route(case):
     assert left_null_lexmin(f, rows, len(rows)) == \
         left_null_lexmin_rref(_oracle(f), rows, len(rows))
 
+
+# ---------------------------------------------------------------------------
+# dense views of the echelon against the textbook routes
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _systems(draw):
+    """Up to 6 x 6 systems over q in {2, 3, 4, 9, 17} with a right-hand
+    side that is a combination of the columns or, as often, random (so
+    many are inconsistent), and a column count for nullspace at or past
+    the row width."""
+    f, rows = draw(_matrices(max_rows=6, max_cols=6))
+    of = _oracle(f)
+    width = len(rows[0]) if rows else 0
+    if draw(st.booleans()):
+        x = draw(st.lists(st.integers(0, f.q - 1), min_size=width, max_size=width))
+        rhs = [_dot(of, row, x) for row in rows]
+    else:
+        rhs = draw(st.lists(st.integers(0, f.q - 1), min_size=len(rows),
+                            max_size=len(rows)))
+    return f, rows, rhs, width + draw(st.integers(0, 2))
+
+
+def _dot(of, row, x):
+    acc = 0
+    for a, b in zip(row, x):
+        acc = of.add(acc, of.mul(a, b))
+    return acc
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+@example((Field(3), [], [], 0))                          # no rows
+@example((Field(3), [], [], 2))                          # no rows, two unknowns
+@example((Field(2), [[], [], []], [0, 1, 0], 1))         # zero width, inconsistent
+@example((Field(17), [[1, 2], [2, 4]], [1, 3], 2))       # inconsistent, q*q > 256
+def test_dense_views_match_the_textbook_routes(case):
+    f, rows, rhs, ncols = case
+    of = _oracle(f)
+    red, pivots = oracle_rref(of, rows)
+    assert rref(f, rows) == (red, pivots)
+    assert rank_dense(f, rows) == dense_rank(of, rows) == len(pivots)
+    x = solve(f, rows, rhs)
+    assert (x is not None) == dense_solvable(of, rows, rhs)
+    if x is not None:
+        assert [_dot(of, row, x) for row in rows] == list(rhs)
+        assert all(c == 0 for k, c in enumerate(x) if k not in pivots)
+    want = []
+    for free in (k for k in range(ncols) if k not in pivots):
+        v = [int(k == free) for k in range(ncols)]
+        for r, col in enumerate(pivots):
+            if free < len(red[r]):
+                v[col] = of.neg(red[r][free])
+        want.append(v)
+    assert nullspace(f, rows, ncols) == want
+
+
+def test_dense_views_refuse_malformed_systems():
+    """A system whose parts do not fit is refused, never answered as
+    another system."""
+    f = Field(3)
+    with pytest.raises(ValueError):
+        solve(f, [[1, 0], [0, 1]], [1])         # an equation without its rhs
+    with pytest.raises(ValueError):
+        solve(f, [[1, 0]], [1, 2])
+    with pytest.raises(ValueError):
+        solve(f, [], [1])
+    with pytest.raises(ValueError):
+        nullspace(f, [[1, 1, 1]], 2)            # fewer unknowns than columns
+    views = [lambda rows: rref(f, rows), lambda rows: rank_dense(f, rows),
+             lambda rows: solve(f, rows, [0] * len(rows)),
+             lambda rows: nullspace(f, rows, 4)]
+    for view in views:
+        for ragged in ([[1, 2], [1]], [[1], [1, 2, 0]], [[0, 0], [], [1, 1]]):
+            with pytest.raises(ValueError):
+                view(ragged)
+        with pytest.raises(ValueError):
+            view([[1, 3]])                      # a code outside F_3
+    with pytest.raises(ValueError):
+        solve(f, [[1, 0]], [3])

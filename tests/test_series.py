@@ -129,6 +129,28 @@ def test_rational_source_matches_state_oracle(case, order, data):
 
 @settings(max_examples=200, deadline=None)
 @given(_rationals(), st.data())
+def test_rational_digits_do_not_depend_on_what_was_read_before(case, data):
+    """Random digits(start, stop) ranges, read before and after
+    period_info() and often past preperiod + period, are the
+    shift-and-divide expansion's digits."""
+    field, o, num, den = case
+    (a, p), _ = rational_period_states(o, num, den, 0)
+    n = a + 3 * p + 8
+    want = rational_expansion(o, num, den, n)[1]
+    src = RationalSource(Poly(field, num), Poly(field, den))
+    search_at = data.draw(st.integers(0, 4), label="ranges read before period_info")
+    for k in range(5):
+        if k == search_at:
+            assert src.period_info() == (a, p)
+        start = data.draw(st.integers(1, n), label="start")
+        stop = data.draw(st.integers(start - 1, n), label="stop")
+        if k >= search_at and stop > a + p:
+            event("range past a + p after the period search")
+        assert src.digits(start, stop) == want[start - 1:stop]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rationals(), st.data())
 def test_recurrence_bound_is_the_oracle_order_and_below_period_bound(case, data):
     """For a pair of rational tails, reduced or not, recurrence_bound is the
     degree of the lcm of the reduced denominators, and never above

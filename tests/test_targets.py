@@ -394,6 +394,14 @@ def test_survivors_worked_example():
     assert validate_tree_like(stages).ok
 
 
+def test_survivor_stage_count_outside_the_certificate_is_refused():
+    _, cert = _worked(2)
+    for n in (-1, -5, len(cert.stages) + 1):
+        with pytest.raises(ValueError):
+            survivor_cylinders(cert, n)
+    assert [c.ell for c in survivor_cylinders(cert, 0)] == [(0,)]
+
+
 @pytest.mark.parametrize("q,ell", [(2, 1), (3, 2)])
 def test_survivor_measure_equals_schedule_measure(q, ell):
     f = Field.of_order(q)

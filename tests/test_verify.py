@@ -362,6 +362,21 @@ def test_deg_lo_window():
     assert rep.witness.deg >= 2
 
 
+def test_empty_or_negative_degree_windows_are_refused():
+    """An empty window is an error, not a report that every candidate
+    was excluded."""
+    f = Field(2)
+    th = parse_series("frac=periodic:[0,1]|[0]", f)
+    g = parse_series("frac=periodic:[1,0,1]|[0]", f)
+    for call in (lambda: c_depth_weighted(th, g, None, 2, deg_lo=5),
+                 lambda: c_liminf_depth(th, g, 4, 2),
+                 lambda: c_depth_weighted(th, g, None, 3, deg_lo=-1),
+                 lambda: c_depth(th, g, -1)):
+        with pytest.raises(ValueError):
+            call()
+    assert c_liminf_depth(th, g, 2, 2) == c_depth_weighted(th, g, None, 2, deg_lo=2).value
+
+
 # ---------------------------------------------------------------------------
 # windowed liminf scans and merging
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ def test_assignment_weight_cycles():
 ])
 def test_induced_weight_deviation_bounds(r):
     d = len(r)
-    g = induced_weight(r, h_max=200)
+    g = induced_weight(r)
     lo_bound = -(1 - Fraction(1, d))
     hi_bound = (d - 1) * (1 - Fraction(1, d))
     for h in range(201):
