@@ -23,9 +23,8 @@ from functools import lru_cache
 from .cantor import ConstructionSchedule, dimension_lower_bound, measure_after_stages
 from .errors import FfbaError, InsufficientPrecisionError
 from .field import Field
-from .hankel import HankelView
+from .hankel import HankelView, rank_profile
 from .indices import DEFAULT_J_CUTOFF, indices_sequence, rationality_probe
-from .linalg import rank_dense
 from .polynomial import Poly
 from .qval import qexp
 from .series import (FiniteSource, LaurentSeries, PeriodicSource,
@@ -153,7 +152,7 @@ def _cmd_hankel(args) -> int:
         "cols": args.cols,
         "block_heights": list(view.block_heights()),
         "matrix": [list(r) for r in rows],
-        "rank": rank_dense(field, rows),
+        "rank": (rank_profile(vec, weight, args.rows, args.cols) or [0])[-1],
     }, args.format)
     return EXIT_OK
 

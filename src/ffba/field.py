@@ -7,13 +7,15 @@ For prime fields the code is just the residue.  0 and 1 are always the
 additive and multiplicative identities.
 
 Raw int codes keep the linear-algebra inner loops cheap; Field carries the
-operation tables.  Desk scale is q <= 16 with extension degree k <= 4,
-checked exhaustively at construction.
+operation tables (q <= 256, k <= 4), built by recurrences on the base-p
+digits of the codes; a modulus is irreducible exactly when the tables show
+no zero divisors, which is how construction checks it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from math import isqrt
 from typing import Sequence
 
@@ -45,57 +47,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# --- base-p polynomial helpers used only for table construction ----------
-
-def _pp_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pp_mulmod(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _pp_divmod(prod, mod, p)[1]
-
-
-def _pp_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
-    a = _pp_trim(list(a))
-    b = _pp_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(b[-1], p - 2, p) if p > 2 else b[-1]
-    quot = [0] * max(0, len(a) - len(b) + 1)
-    rem = list(a)
-    while len(rem) >= len(b):
-        shift = len(rem) - len(b)
-        factor = (rem[-1] * inv_lead) % p
-        quot[shift] = factor
-        for i, bi in enumerate(b):
-            rem[shift + i] = (rem[shift + i] - factor * bi) % p
-        _pp_trim(rem)
-    return quot, rem
-
-
-def _pp_irreducible(mod: Sequence[int], p: int) -> bool:
-    """Exhaustive trial division by monic polynomials of degree <= k//2."""
-    k = len(mod) - 1
-    for deg in range(1, k // 2 + 1):
-        for code in range(p ** deg):
-            cand = [0] * deg + [1]
-            c = code
-            for i in range(deg):
-                cand[i] = c % p
-                c //= p
-            if not _pp_divmod(mod, cand, p)[1]:
-                return False
-    return True
-
-
 class Field:
     """F_q with precomputed add/mul/neg/inv tables over int codes."""
 
@@ -121,13 +72,7 @@ class Field:
             modulus = reduced
             if len(modulus) != k + 1 or modulus[-1] == 0:
                 raise ValueError(f"modulus must have degree exactly {k}")
-            if not _pp_irreducible(modulus, p):
-                raise ReducibleModulusError(
-                    f"modulus {list(modulus)} is reducible over F_{p}")
-        self.p = p
-        self.k = k
-        self.q = q
-        self.modulus = tuple(modulus) if modulus else None
+        self.p, self.k, self.q, self.modulus = p, k, q, modulus
         self._build_tables()
 
     @classmethod
@@ -154,21 +99,34 @@ class Field:
         return cls(p, k, modulus)
 
     def _build_tables(self) -> None:
-        p, k, q = self.p, self.k, self.q
-        if k == 1:
-            self._add = [[(a + b) % p for b in range(q)] for a in range(q)]
-            self._mul = [[(a * b) % p for b in range(q)] for a in range(q)]
-        else:
-            vecs = [self.coeffs_of(c) for c in range(q)]
-            self._add = [[self.element([(x + y) % p for x, y in zip(va, vb)])
-                          for vb in vecs] for va in vecs]
-            self._mul = [[self.element(_pp_mulmod(_pp_trim(list(va)), _pp_trim(list(vb)),
-                                                  self.modulus, p))
-                          for vb in vecs] for va in vecs]
-        self._neg = [self._add[a].index(0) for a in range(q)]
-        self._inv = [0] * q
+        """Tables by recurrences on base-p digits, a = a0 + p*a', b = b0 + p*b':
+        add[a][b] = (a0 + b0) % p + p*add[a'][b'], mul[a][b] = a*b0 + x*(a*b'),
+        where x*c shifts c's digits up and trades the top digit t for
+        t * (x^k mod modulus).  The modulus is irreducible exactly when the
+        table has no zero divisors: no nonzero row of mul holds a second 0."""
+        p, q = self.p, self.q
+        hi = q // p                     # p^(k-1), the place of the top digit
+        add = [list(range(q))]
         for a in range(1, q):
-            self._inv[a] = self._mul[a].index(1)
+            add.append([p * u + (a % p + b0) % p for u in add[a // p][:hi] for b0 in range(p)])
+
+        def times(c: int) -> list[int]:     # c*0, ..., c*(p-1) by repeated addition
+            return list(accumulate([c] * (p - 1), lambda s, x: add[s][x], initial=0))
+        tops = times(0 if self.k == 1 else self.element(    # t * (x^k mod modulus)
+            [-c * pow(self.modulus[-1], -1, p) for c in self.modulus[:-1]]))
+        xs = [add[p * (c % hi)][tops[c // hi]] for c in range(q)]     # x*c
+        mul = []
+        for a in range(q):
+            row = times(a)
+            for b in range(1, hi):      # a*(b0 + p*b) = a*b0 + x*(a*b)
+                row += map(add[xs[row[b]]].__getitem__, row[:p])
+            mul.append(row)
+        if any(row.count(0) > 1 for row in mul[1:]):
+            raise ReducibleModulusError(
+                f"modulus {list(self.modulus)} is reducible over F_{p}")
+        self._add, self._mul = add, mul
+        self._neg = [row.index(0) for row in add]
+        self._inv = [0] + [row.index(1) for row in mul[1:]]
 
     # --- arithmetic on int codes ------------------------------------
 
@@ -232,7 +190,7 @@ class Field:
         return code
 
     def check(self, a: int) -> int:
-        if not isinstance(a, int) or not 0 <= a < self.q:
+        if type(a) is not int or not 0 <= a < self.q:     # a bool is no code
             raise ElementCodeError(f"{a!r} is not an element code of F_{self.q}")
         return a
 

@@ -104,7 +104,7 @@ def delta_entry(theta, weight: GeneralizedWeight | None, s: int, r: int, c: int,
         raise ValueError("rows and columns are 1-based")
     if rows is not None and r > w.eval(rows)[s - 1]:
         raise ValueError("row outside block height")
-    return vec[s - 1].frac.coefficient(r - 1 + c)
+    return vec[s - 1].coefficient(r - 1 + c)
 
 
 def rank_profile(theta, weight: GeneralizedWeight | None, rows: int,

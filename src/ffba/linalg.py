@@ -12,10 +12,9 @@ rank walk and the square spectrum, and whose tags give the walk's
 annihilators.  Appends never rescan earlier vectors.
 
 The dense routines are views of one such echelon of a matrix's rows
-(_echelon, a right-hand side riding as each row's tag): rank_dense is its
-rank, solve and nullspace back-substitute from the top pivot down
-(_Basis.forced), and rref reduces each stored vector against the later
-pivots.
+(_echelon, a right-hand side riding as each row's tag): solve and
+nullspace back-substitute from the top pivot down (_Basis.forced), and
+rref reduces each stored vector against the later pivots.
 
 Vectors are sequences of field element codes; "first nonzero position"
 always means the lowest index, and lexicographic order compares positions
@@ -29,8 +28,7 @@ from typing import Sequence
 
 from .field import Field
 
-__all__ = ["RankEngine", "rref", "rank_dense", "solve", "nullspace",
-           "left_null_lexmin"]
+__all__ = ["RankEngine", "rref", "solve", "nullspace", "left_null_lexmin"]
 
 
 class _Basis:
@@ -207,10 +205,6 @@ def rref(field: Field, rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], 
         red[pivots[k]] = v
     out = [list(red[p].to_bytes(width, "little")) for p in pivots]
     return out + [[0] * width for _ in range(len(rows) - len(out))], pivots
-
-
-def rank_dense(field: Field, rows: Sequence[Sequence[int]]) -> int:
-    return _echelon(field, rows)[0].rank
 
 
 def solve(field: Field, rows: Sequence[Sequence[int]],

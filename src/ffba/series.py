@@ -364,15 +364,15 @@ class LaurentSeries:
 
     def coefficient(self, i: int) -> int:
         """Tail coefficient theta_i (of t^{-i}), i >= 1."""
-        return self.frac.coefficient(i)
+        return self.frac_bytes(i, i)[0]
 
     def frac_coeffs(self, count: int) -> list[int]:
-        return self.frac.digits(1, count)
+        return list(self.frac_bytes(count))
 
     def frac_bytes(self, stop: int, start: int = 1) -> bytes:
-        """Tail codes start..stop as bytes.  Listed codes were checked when
-        the series was built; a rule's codes are checked here, so a code
-        outside range(q) raises ElementCodeError."""
+        """Tail codes start..stop as bytes, the one reader of tail codes.
+        Listed codes were checked when the series was built; a rule's codes
+        are checked here: a code outside range(q) raises ElementCodeError."""
         codes = self.frac.digits(start, stop)
         if codes and not 0 <= min(codes) <= max(codes) < self.field.q:
             self.field.check(next(c for c in codes if not 0 <= c < self.field.q))
@@ -442,17 +442,15 @@ def frac_abs(theta: LaurentSeries, search_limit: int):
     if search_limit < 1:
         raise ValueError("search_limit must be >= 1")
     theta.frac.require(search_limit)
-    for i in range(1, search_limit + 1):
-        if theta.frac.coefficient(i):
-            return QVal(-i)
-    # deg E leading zeros of the tail c/E (recurrence_bound) force c = 0
-    rec = recurrence_bound((theta,))
-    if rec is None:
-        return BelowLimit(search_limit)
-    for i in range(search_limit + 1, rec + 1):
-        if theta.frac.coefficient(i):
-            return QVal(-i)
-    return ZERO
+    head = theta.frac_bytes(search_limit)
+    if not any(head):
+        # deg E leading zeros of the tail c/E (recurrence_bound) force c = 0
+        rec = recurrence_bound((theta,))
+        if rec is None:
+            return BelowLimit(search_limit)
+        head += theta.frac_bytes(rec, search_limit + 1)
+    zeros = len(head) - len(head.lstrip(b"\0"))
+    return QVal(-zeros - 1) if zeros < len(head) else ZERO
 
 
 def poly_times_series_frac(n: Poly, theta: LaurentSeries, count: int) -> list[int]:
@@ -466,17 +464,13 @@ def poly_times_series_frac(n: Poly, theta: LaurentSeries, count: int) -> list[in
     if n.is_zero or count <= 0:
         return [0] * max(count, 0)
     theta.frac.require(count + n.deg)
-    f = theta.field
-    add, mul = f.add, f.mul
-    coeffs = [theta.frac.coefficient(i) for i in range(1, count + n.deg + 1)]
-    out = []
-    for i in range(count):
-        acc = 0
-        for k, nk in enumerate(n.coeffs):
-            if nk:
-                acc = add(acc, mul(nk, coeffs[i + k]))
-        out.append(acc)
-    return out
+    tail = theta.frac_bytes(count + n.deg)
+    ops, neg = _Basis(theta.field), theta.field._neg
+    acc = 0
+    for k, nk in enumerate(n.coeffs):
+        if nk:      # acc + n_k * (the tail from index k + 1 on)
+            acc = ops.sub_multiple(acc, int.from_bytes(tail[k:k + count], "little"), neg[nk])
+    return list(acc.to_bytes(count, "little"))
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +644,9 @@ def series_from_json(obj: dict, field: Field | None = None) -> LaurentSeries:
         raise ValueError(f"a series must be a JSON object, not {obj!r}")
     if field is None:
         field = Field.of_order(int(obj["q"]), obj.get("modulus"))
-    elif "q" in obj and int(obj["q"]) != field.q:
-        raise ValueError("series JSON declares a different q")
+    elif "q" in obj and (type(obj["q"]) is not int
+                         or Field.of_order(obj["q"], obj.get("modulus")) != field):
+        raise ValueError(f"series JSON declares another field than {field}")
     poly = Poly(field, obj.get("poly", []))
     return LaurentSeries(field, poly, source_from_json(field, obj["frac"]))
 

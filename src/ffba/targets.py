@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -126,7 +127,9 @@ class Certificate:
     @classmethod
     def from_json(cls, obj: dict) -> "Certificate":
         """Parse a certificate document, checking the presence, type and
-        range of every field; malformed input raises CertificateFormatError."""
+        range of every field; malformed input, or a document that would
+        not re-serialize to the same sorted-key JSON text (it would be read
+        as something other than what it says), raises CertificateFormatError."""
         q, d = _need(obj, "q"), _need(obj, "d")
         try:
             field = Field.of_order(q, obj.get("modulus"))
@@ -144,29 +147,34 @@ class Certificate:
             return tuple(x)
 
         def per_coord(x, what: str) -> tuple[tuple[int, ...], ...]:
-            if d == 1 and not any(isinstance(c, list) for c in x):
+            if d == 1:          # one flat digit list, as to_json writes it
                 x = [x]
             if len(x) != d:
                 raise CertificateFormatError(f"{what} must hold {d} digit lists")
             return tuple(codes(c, what) for c in x)
 
-        stages = [CertStage(m=_need(st, "m"), i=_need(st, "i", lo=0),
+        stages = [CertStage(m=_need(st, "m", lo=m, hi=m), i=_need(st, "i", lo=0),
                             j_next=_need(st, "j", (int, type(None))),
                             status=_need(st, "status", str),
                             width=_need(st, "width", lo=0, hi=MAX_J_CUTOFF),
                             b=codes(_need(st, "b", list), "b"),
                             new_digits=per_coord(_need(st, "gamma_digits", list),
                                                  "gamma_digits"))
-                  for st in _need(obj, "stages", list)]
+                  for m, st in enumerate(_need(obj, "stages", list))]
         for st in stages:
             if st.status not in ("found", "infinite", "cutoff"):
                 raise CertificateFormatError(f"unknown stage status {st.status!r}")
-        return cls(field=field, d=d, ell=_need(obj, "ell"), weight=weight,
+        policy = _need(obj, "policy", str) if "policy" in obj else "lexmin"
+        if not re.fullmatch(r"lexmin|seeded-random:-?[0-9]+", policy):
+            raise CertificateFormatError(f"unknown digit policy {policy!r}")
+        cert = cls(field=field, d=d, ell=_need(obj, "ell"), weight=weight,
                    theta=theta, stages=stages,
                    gamma_digits=per_coord(_need(obj, "gamma_prefix", list),
                                           "gamma_prefix"),
-                   truncated=_need(obj, "truncated", bool),
-                   policy=_need(obj, "policy", str) if "policy" in obj else "lexmin")
+                   truncated=_need(obj, "truncated", bool), policy=policy)
+        if cert.to_json() != {"policy": policy, **obj}:     # bools and floats are refused above
+            raise CertificateFormatError("the document would be read as something else")
+        return cert
 
 
 def _need(doc, key: str, kind=int, lo: int | None = None, hi: int | None = None):

@@ -27,7 +27,7 @@ __all__ = ["GeneralizedWeight", "parse_real_weight", "parse_weight",
 def _as_fraction(x) -> Fraction:
     """An exact rational from a Fraction, an int, an "n/m" string or an
     (n, m) pair of ints."""
-    pair = isinstance(x, tuple) and len(x) == 2 and all(isinstance(v, int) for v in x)
+    pair = isinstance(x, tuple) and len(x) == 2 and all(type(v) is int for v in x)
     if not (pair or isinstance(x, (Fraction, int, str))):
         raise ValueError(f"cannot read {x!r} as an exact rational")
     try:
@@ -67,11 +67,11 @@ class GeneralizedWeight:
     @classmethod
     def from_assignment(cls, d: int, cycle: Sequence[int]) -> "GeneralizedWeight":
         """Steps follow the given coordinate list, repeated cyclically."""
-        cyc = tuple(int(s) for s in cycle)
+        cyc = tuple(cycle)
         if not cyc:
             raise ValueError("assignment cycle must be nonempty")
-        if any(s < 1 or s > d for s in cyc):
-            raise ValueError(f"assignment entries must lie in 1..{d}")
+        if type(d) is not int or any(type(s) is not int or not 1 <= s <= d for s in cyc):
+            raise ValueError(f"assignment entries must be ints in 1..{d}")
         return cls(d, "assign", cycle=cyc)
 
     @classmethod
@@ -141,9 +141,12 @@ class GeneralizedWeight:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GeneralizedWeight":
-        if obj["kind"] == "assign":
-            return cls.from_assignment(obj["d"], obj["cycle"])
-        return cls.from_real([_as_fraction((n, m)) for n, m in obj["r"]])
+        kind, d = obj["kind"], obj["d"]
+        w = cls.from_assignment(d, obj["cycle"]) if kind == "assign" \
+            else cls.from_real([_as_fraction((n, m)) for n, m in obj["r"]])
+        if kind not in ("assign", "real") or type(d) is not int or d != w.d:
+            raise ValueError(f"a weight of kind {kind!r} and d={d!r} is not {w.to_json()}")
+        return w
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GeneralizedWeight) and other.d == self.d

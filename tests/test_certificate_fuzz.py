@@ -6,7 +6,8 @@ bool, null, a string, a list, an object, -1 and 256.  Reading and
 re-verifying each of these documents may refuse it or report a failed
 check, but only ever through FfbaError (CertificateFormatError and its
 kin); a KeyError, TypeError or IndexError escaping would be a traceback
-at `ffba certificate-check`.
+at `ffba certificate-check`.  A document that is accepted must be read as
+what it says.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import copy
 import io
 import json
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -70,6 +72,35 @@ def test_every_mutated_certificate_raises_only_ffba_errors():
             raise AssertionError(f"{label}: {type(exc).__name__}: {exc}") from exc
         seen += 1
     assert seen == 4688
+
+
+def _at(doc, path):
+    for part in path:
+        doc = doc[part]
+    return doc
+
+
+def test_every_accepted_certificate_reads_as_written():
+    """A mutant that from_json accepts re-serializes to the same sorted-key
+    JSON text, numbers its stages by position, names the lexmin or a
+    seeded-random:<int> policy, and holds no bool where an int is meant;
+    a document without a policy reads as lexmin."""
+    accepted = 0
+    for label, doc in _mutants():
+        try:
+            cert = Certificate.from_json(doc)
+        except FfbaError:
+            continue
+        accepted += 1
+        assert json.dumps(cert.to_json(), sort_keys=True) == json.dumps(doc, sort_keys=True), label
+        assert [st.m for st in cert.stages] == list(range(len(cert.stages))), label
+        assert re.fullmatch(r"lexmin|seeded-random:-?[0-9]+", cert.policy), label
+        assert not any(type(_at(doc, path)) is bool for path in _leaves(doc)
+                       if path != ("truncated",)), label
+    assert accepted >= 200
+    doc = copy.deepcopy(CASES[0]["certificate"])
+    del doc["policy"]
+    assert Certificate.from_json(doc).policy == "lexmin"
 
 
 def test_certificate_check_exits_1_or_2_without_a_traceback():

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from ffba import Field, elem_arith, field_new
-from ffba.errors import (MissingModulusError, NonPrimeError,
+from ffba.errors import (ElementCodeError, MissingModulusError, NonPrimeError,
                          ReducibleModulusError)
-from oracles import OracleField
+from oracles import OracleField, poly_divmod
 
 CASES = [
     (2, 1, None),
@@ -41,6 +42,80 @@ def test_tables_match_oracle(p, k, modulus):
         assert f.neg(a) == o.neg(a)
         if a != 0:
             assert f.inv(a) == o.inv(a)
+
+
+_PRIME_POWERS = {4: (2, 2), 8: (2, 3), 9: (3, 2), 16: (2, 4), 25: (5, 2), 27: (3, 3),
+                 49: (7, 2), 81: (3, 4), 121: (11, 2), 125: (5, 3), 169: (13, 2)}
+
+
+def _has_monic_factor(p: int, modulus) -> bool:
+    """Trial division of the modulus by every monic polynomial of degree
+    1..k//2 over F_p, in the oracle's polynomial arithmetic."""
+    o = OracleField(p)
+    k = len(modulus) - 1
+    return any(not poly_divmod(o, list(modulus), [*low, 1])[1]
+               for deg in range(1, k // 2 + 1)
+               for low in itertools.product(range(p), repeat=deg))
+
+
+def _check_modulus(p: int, k: int, modulus) -> bool:
+    """Field(p, k, modulus) is refused as reducible exactly when trial
+    division finds a factor, and otherwise has the oracle's tables.
+    Returns whether the modulus is reducible."""
+    if _has_monic_factor(p, modulus):
+        with pytest.raises(ReducibleModulusError, match="is reducible over"):
+            Field(p, k, modulus)
+        return True
+    _assert_tables_match(Field(p, k, modulus), OracleField(p, k, list(modulus)))
+    return False
+
+
+def _assert_tables_match(f: Field, o: OracleField) -> None:
+    """Whole add and mul rows, negatives, and inverses checked by the
+    oracle's product (one oracle call each, not an oracle search)."""
+    for a in range(f.q):
+        assert [f.add(a, b) for b in range(f.q)] == [o.add(a, b) for b in range(f.q)]
+        assert [f.mul(a, b) for b in range(f.q)] == [o.mul(a, b) for b in range(f.q)]
+        assert f.neg(a) == o.neg(a)
+        if a:
+            assert o.mul(a, f.inv(a)) == 1
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+def test_tables_and_reducibility_for_every_modulus(q):
+    """Every modulus of degree k over F_p (nonzero leading coefficient)."""
+    p, k = _PRIME_POWERS[q]
+    verdicts = [_check_modulus(p, k, (*low, lead))
+                for low in itertools.product(range(p), repeat=k)
+                for lead in range(1, p)]
+    assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("q", [49, 81, 121, 125, 169])
+def test_tables_and_reducibility_for_sampled_moduli(q):
+    """Two reducible and two irreducible moduli, drawn from a seeded
+    stream."""
+    p, k = _PRIME_POWERS[q]
+    rng = random.Random(q)
+    seen = {True: 0, False: 0}
+    while min(seen.values()) < 2:
+        modulus = (*(rng.randrange(p) for _ in range(k)), rng.randrange(1, p))
+        if seen[_has_monic_factor(p, modulus)] < 2:
+            seen[_check_modulus(p, k, modulus)] += 1
+
+
+@pytest.mark.parametrize("p", [2, 7, 13, 251])
+def test_prime_field_tables_match_oracle(p):
+    _assert_tables_match(Field(p), OracleField(p))
+
+
+def test_check_refuses_a_bool():
+    """True == 1, but a bool is no element code."""
+    f = Field(2)
+    assert f.check(1) == 1
+    for bad in (True, False, 1.0, 2, -1):
+        with pytest.raises(ElementCodeError):
+            f.check(bad)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ffba import Field
-from ffba.linalg import (RankEngine, left_null_lexmin, nullspace, rank_dense, rref,
-                         solve)
+from ffba.linalg import RankEngine, left_null_lexmin, nullspace, rref, solve
 
 from oracles import (OracleField, dense_rank, dense_solvable,
                      left_annihilators, left_null_lexmin_rref)
@@ -21,17 +20,6 @@ FIELDS = [Field(2), Field(3), Field(2, 2), Field(3, 2)]
 
 def _rand_rows(rng, f, nrows, ncols):
     return [[rng.randrange(f.q) for _ in range(ncols)] for _ in range(nrows)]
-
-
-@pytest.mark.parametrize("f", FIELDS, ids=lambda f: f"q{f.q}")
-def test_rank_matches_oracle(f):
-    rng = random.Random(101 + f.q)
-    of = OracleField(f.p, f.k, list(f.modulus) if f.k > 1 else None)
-    for _ in range(60):
-        nrows = rng.randrange(1, 7)
-        ncols = rng.randrange(1, 7)
-        rows = _rand_rows(rng, f, nrows, ncols)
-        assert rank_dense(f, rows) == dense_rank(of, rows)
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=lambda f: f"q{f.q}")
@@ -66,12 +54,13 @@ def test_solve_known_unique_system():
 @pytest.mark.parametrize("f", FIELDS, ids=lambda f: f"q{f.q}")
 def test_nullspace_annihilates_and_has_right_dimension(f):
     rng = random.Random(303 + f.q)
+    of = OracleField(f.p, f.k, list(f.modulus) if f.k > 1 else None)
     for _ in range(40):
         nrows = rng.randrange(1, 6)
         ncols = rng.randrange(1, 6)
         rows = _rand_rows(rng, f, nrows, ncols)
         basis = nullspace(f, rows, ncols)
-        assert len(basis) == ncols - rank_dense(f, rows)
+        assert len(basis) == ncols - dense_rank(of, rows)
         for vec in basis:
             assert any(vec)
             for row in rows:
@@ -80,7 +69,7 @@ def test_nullspace_annihilates_and_has_right_dimension(f):
                     acc = f.add(acc, f.mul(a, v))
                 assert acc == 0
         # basis vectors are independent
-        assert rank_dense(f, basis) == len(basis)
+        assert dense_rank(of, basis) == len(basis)
 
 
 def test_rref_shape_and_pivots():
@@ -115,6 +104,7 @@ def test_left_null_lexmin_is_an_annihilator(f):
 @pytest.mark.parametrize("f", FIELDS, ids=lambda f: f"q{f.q}")
 def test_rank_engine_tracks_dense_rank(f):
     rng = random.Random(505 + f.q)
+    of = OracleField(f.p, f.k, list(f.modulus) if f.k > 1 else None)
     for _ in range(20):
         ncols = rng.randrange(1, 6)
         eng = RankEngine(f)
@@ -124,7 +114,7 @@ def test_rank_engine_tracks_dense_rank(f):
             before = eng.rank
             grew = eng.add(row)
             kept.append(row)
-            assert eng.rank == rank_dense(f, kept)
+            assert eng.rank == dense_rank(of, kept)
             assert grew == (eng.rank == before + 1)
             assert eng.contains(row)
 
@@ -221,7 +211,7 @@ def test_dense_views_match_the_textbook_routes(case):
     of = _oracle(f)
     red, pivots = oracle_rref(of, rows)
     assert rref(f, rows) == (red, pivots)
-    assert rank_dense(f, rows) == dense_rank(of, rows) == len(pivots)
+    assert dense_rank(of, rows) == len(pivots)
     x = solve(f, rows, rhs)
     assert (x is not None) == dense_solvable(of, rows, rhs)
     if x is not None:
@@ -249,8 +239,7 @@ def test_dense_views_refuse_malformed_systems():
         solve(f, [], [1])
     with pytest.raises(ValueError):
         nullspace(f, [[1, 1, 1]], 2)            # fewer unknowns than columns
-    views = [lambda rows: rref(f, rows), lambda rows: rank_dense(f, rows),
-             lambda rows: solve(f, rows, [0] * len(rows)),
+    views = [lambda rows: rref(f, rows), lambda rows: solve(f, rows, [0] * len(rows)),
              lambda rows: nullspace(f, rows, 4)]
     for view in views:
         for ragged in ([[1, 2], [1]], [[1], [1, 2, 0]], [[0, 0], [], [1, 1]]):

@@ -8,9 +8,11 @@ from functools import reduce
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from ffba import (Field, LaurentSeries, Poly, ZERO, expand_rational, frac_abs,
-                  parse_series, poly_times_series_frac, qexp, rule_source,
-                  series_from_json, series_roundtrip_check, series_to_text)
+from ffba import (Field, HankelView, LaurentSeries, Poly, ZERO, delta_entry,
+                  expand_rational, find_witness_small, frac_abs, left_null_vector,
+                  matrix_condition_check, parse_series, poly_times_series_frac, qexp,
+                  register_rule, rule_source, series_from_json, series_roundtrip_check,
+                  series_to_text)
 from ffba import indices_sequence
 from ffba.errors import ElementCodeError, FfbaError, InsufficientPrecisionError
 from ffba.qval import BelowLimit
@@ -340,6 +342,39 @@ def test_rule_codes_are_checked_before_elimination():
         indices_sequence(th, ell=1)
 
 
+def test_every_tail_read_checks_a_rules_codes():
+    """Each reader of tail digits goes through the one range-checked
+    reader, so a rule over F_2 that returns the code 2 is refused with
+    ElementCodeError, never returned, used as a table index or packed."""
+    f = Field.of_order(2)
+    register_rule("code-two", lambda i: 2)
+    bad = LaurentSeries(f, Poly.zero(f), rule_source("code-two"))
+    good = parse_series("frac=periodic:[1]|[0]", f)
+    n = Poly(f, [1, 1])
+    calls = {
+        "frac_abs": lambda: frac_abs(bad, 4),
+        "poly_times_series_frac": lambda: poly_times_series_frac(n, bad, 3),
+        "coefficient": lambda: bad.coefficient(2),
+        "frac_coeffs": lambda: bad.frac_coeffs(3),
+        "delta_entry": lambda: delta_entry(bad, None, 1, 1, 2),
+        "stacked_rows": lambda: HankelView.of(bad, None, 2, 2).stacked_rows(),
+        "left_null_vector": lambda: left_null_vector(bad, None, 2, 2),
+        "matrix_condition_check theta": lambda: matrix_condition_check(bad, good, n=n),
+        "matrix_condition_check gamma": lambda: matrix_condition_check(good, bad, n=n),
+        "find_witness_small theta": lambda: find_witness_small(bad, good),
+        "find_witness_small gamma": lambda: find_witness_small(good, bad),
+    }
+    wrong = {}
+    for name, call in calls.items():
+        try:
+            wrong[name] = f"returned {call()!r}"
+        except ElementCodeError:
+            continue
+        except Exception as exc:  # the assertion names the reader
+            wrong[name] = f"{type(exc).__name__}: {exc}"
+    assert wrong == {}
+
+
 def test_rule_source_liminf_positions():
     f = Field.of_order(2)
     s = LaurentSeries(f, Poly.zero(f), rule_source("liminf"))
@@ -416,7 +451,7 @@ def test_abs_qval_includes_poly_part():
 # products
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 17])       # XOR, translate and entry-wise steps
 def test_poly_times_series_frac_matches_convolution(q):
     field = Field.of_order(q)
     o = _oracle_of(field)
