@@ -34,6 +34,7 @@ DEFAULT_MODULI: dict[int, tuple[int, ...]] = {
 
 _MAX_Q = 256
 _MAX_K = 4
+_INT = frozenset([int])      # the one type of an element code: a bool is none
 
 
 def _is_prime(n: int) -> bool:
@@ -127,6 +128,7 @@ class Field:
         self._add, self._mul = add, mul
         self._neg = [row.index(0) for row in add]
         self._inv = [0] + [row.index(1) for row in mul[1:]]
+        self._codes = bytes(range(q))
 
     # --- arithmetic on int codes ------------------------------------
 
@@ -193,6 +195,19 @@ class Field:
         if type(a) is not int or not 0 <= a < self.q:     # a bool is no code
             raise ElementCodeError(f"{a!r} is not an element code of F_{self.q}")
         return a
+
+    def check_codes(self, codes: Sequence[int]) -> bytes:
+        """The codes as bytes, one per code, when each is an element code;
+        otherwise ElementCodeError names the first that is not."""
+        try:
+            raw = bytes(codes)
+            if not raw.translate(None, self._codes) and _INT.issuperset(map(type, codes)):
+                return raw
+        except (TypeError, ValueError):
+            pass
+        for c in codes:
+            self.check(c)
+        raise AssertionError("unreachable: some code failed above")
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Field) and other.p == self.p

@@ -146,6 +146,17 @@ def _byte_tables(field: Field) -> tuple[list[bytes] | None, list[bytes]]:
     return steps, [bytes(mul[c] + [0] * (256 - q)) for c in range(q)]
 
 
+@lru_cache(maxsize=16)
+def _lane_tables(field: Field) -> tuple[list[list[bytes]], bytes]:
+    """Digit lanes: per multiplier c, the byte maps x -> digit j of c*x,
+    one per base-p digit j, and the map x -> x mod p that reduces lanes
+    summed as plain ints."""
+    p, q, mul = field.p, field.q, field._mul
+    return ([[bytes([mul[c][x] // p ** j % p for x in range(q)] + [0] * (256 - q))
+              for j in range(field.k)] for c in range(q)],
+            bytes(x % p for x in range(256)))
+
+
 class RankEngine:
     """Incremental rank of the span of appended vectors over F_q."""
 

@@ -208,7 +208,7 @@ class RationalSource(CoefficientSource):
             raise ValueError("coefficient indices are 1-based")
         self._coeffs += [c for c, _ in islice(self._division,
                                               max(stop - len(self._coeffs), 0))]
-        return self._coeffs[start - 1:stop]
+        return self._coeffs[start - 1:max(stop, 0)]
 
     @cached_property
     def reduced_den(self) -> Poly:
@@ -328,8 +328,7 @@ class LaurentSeries:
     def __init__(self, field: Field, poly_part: Poly, frac: CoefficientSource):
         if poly_part.field != field:
             raise ValueError("poly part over a different field")
-        for c in frac.listed_codes():
-            field.check(c)
+        field.check_codes(frac.listed_codes())
         self.field = field
         self.poly_part = poly_part
         self.frac = frac
@@ -372,11 +371,9 @@ class LaurentSeries:
     def frac_bytes(self, stop: int, start: int = 1) -> bytes:
         """Tail codes start..stop as bytes, the one reader of tail codes.
         Listed codes were checked when the series was built; a rule's codes
-        are checked here: a code outside range(q) raises ElementCodeError."""
-        codes = self.frac.digits(start, stop)
-        if codes and not 0 <= min(codes) <= max(codes) < self.field.q:
-            self.field.check(next(c for c in codes if not 0 <= c < self.field.q))
-        return bytes(codes)
+        are checked here: a non-int (a bool is none) or a code outside
+        range(q) raises ElementCodeError."""
+        return self.field.check_codes(self.frac.digits(start, stop))
 
     def abs_qval(self, search_limit: int = 64):
         """|theta| = q^{deg theta}; falls back to the tail scan when the
@@ -624,31 +621,53 @@ def parse_series(text: str, field: Field | None = None) -> LaurentSeries:
     return LaurentSeries(field, poly, parse_frac(field, fields["frac"]))
 
 
+def _member(obj: dict, key: str, what: str, codes: bool = False):
+    """obj[key]; ValueError when it is missing, or when codes is set and
+    it is not a list (or tuple)."""
+    if key not in obj:
+        raise ValueError(f"{what} JSON needs {key!r}")
+    if codes and not isinstance(obj[key], (list, tuple)):
+        raise ValueError(f"{what} JSON {key!r} must list codes, not {obj[key]!r}")
+    return obj[key]
+
+
 def source_from_json(field: Field, obj: dict) -> CoefficientSource:
+    """A coefficient source from its JSON object; a missing or non-list
+    member raises ValueError."""
     if not isinstance(obj, dict):
         raise ValueError(f"a source must be a JSON object, not {obj!r}")
     kind = obj.get("kind")
+    what = f"{kind} source"
     if kind == "finite":
-        return FiniteSource(obj["coeffs"])
+        return FiniteSource(_member(obj, "coeffs", what, True))
     if kind == "periodic":
-        return PeriodicSource(obj["pre"], obj["per"])
+        return PeriodicSource(_member(obj, "pre", what, True), _member(obj, "per", what, True))
     if kind == "rational":
-        return RationalSource(Poly(field, obj["num"]), Poly(field, obj["den"]))
+        return RationalSource(Poly(field, _member(obj, "num", what, True)),
+                              Poly(field, _member(obj, "den", what, True)))
     if kind == "rule":
-        return rule_source(obj["name"])
+        return rule_source(_member(obj, "name", what))
     raise ValueError(f"unknown source kind {kind!r}")
 
 
 def series_from_json(obj: dict, field: Field | None = None) -> LaurentSeries:
+    """A series from its JSON object.  A missing member, a q that is not an
+    int (a bool is none) and a key other than q, modulus, poly and frac
+    raise ValueError; so does a q or modulus naming another field than the
+    one given."""
     if not isinstance(obj, dict):
         raise ValueError(f"a series must be a JSON object, not {obj!r}")
+    if not set(obj) <= {"q", "modulus", "poly", "frac"}:
+        raise ValueError(f"series JSON has keys other than q, modulus, poly and frac: {obj!r}")
     if field is None:
-        field = Field.of_order(int(obj["q"]), obj.get("modulus"))
+        if type(_member(obj, "q", "series")) is not int:
+            raise ValueError(f"series JSON q must be an int, not {obj['q']!r}")
+        field = Field.of_order(obj["q"], obj.get("modulus"))
     elif "q" in obj and (type(obj["q"]) is not int
                          or Field.of_order(obj["q"], obj.get("modulus")) != field):
         raise ValueError(f"series JSON declares another field than {field}")
-    poly = Poly(field, obj.get("poly", []))
-    return LaurentSeries(field, poly, source_from_json(field, obj["frac"]))
+    poly = Poly(field, _member(obj, "poly", "series", True) if "poly" in obj else ())
+    return LaurentSeries(field, poly, source_from_json(field, _member(obj, "frac", "series")))
 
 
 def series_roundtrip_check(theta: LaurentSeries) -> bool:

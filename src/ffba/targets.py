@@ -11,8 +11,12 @@ construction fixes target digits stage by stage, always choosing inside
 the allowed set (exactly q^{gap-1} of the q^{gap} extensions are excluded
 per stage), and records everything needed for independent re-verification
 in a Certificate.  The verifier trusts none of it: per stage, b . M = 0
-(summed from packed rows) and b . pi(gamma) != 0 leave no covered system
-solvable, with no elimination.  Extension counts are closed-form.
+and b . pi(gamma) != 0 leave no covered system solvable, with no
+elimination.  b . M is summed in digit lanes, one integer add per row of
+b's support, each base-p digit of an entry in its own byte; fields with
+p > 128, where a byte cannot hold a residue plus a row, keep the packed
+row step.  A non-code in b or in the digits a stage reads fails that
+stage's row shape.  Extension counts are closed-form.
 
 Policies: "lexmin" picks the lexicographically smallest valid extension
 (unconstrained digits default to 0); a seeded policy draws uniformly from
@@ -25,16 +29,16 @@ import itertools
 import random
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .cantor import CylinderSet, as_schedule
-from .errors import (BudgetExhaustedError, CertificateFormatError,
+from .errors import (BudgetExhaustedError, CertificateFormatError, ElementCodeError,
                      InsufficientPrecisionError, TooLargeToEnumerateError)
 from .field import Field
 from .hankel import HankelView, default_weight, left_null_vector
 from .indices import (DEFAULT_J_CUTOFF, MAX_J_CUTOFF, IndicesTrace, Stage,
                       StageStatus, indices_sequence)
-from .linalg import _Basis, _byte_tables
+from .linalg import _Basis, _byte_tables, _lane_tables
 from .series import (LaurentSeries, as_vector, period_bound, recurrence_bound,
                      series_from_json)
 from .weights import GeneralizedWeight
@@ -373,9 +377,15 @@ def verify_certificate(cert: Certificate) -> CertificateReport:
                 HankelView(vec, w, st.i, st.width).require_precision()
         except InsufficientPrecisionError:
             past_data[k] = True
-    shaped = [g is not None and st.width <= MAX_J_CUTOFF and not past
+    # a non-code in b, or in the digits of gamma that a stage reads, fails
+    # its row shape; stages are checked one by one only when some code is bad
+    every_b = [*itertools.chain.from_iterable(st.b for st in stages)]
+    loose = _non_code(field, every_b, cert.gamma_digits)
+    faults = [loose and _non_code(field, st.b, [d[:h] for d, h in zip(cert.gamma_digits, g or ())])
+              for st, g in zip(stages, heights)]
+    shaped = [g is not None and st.width <= MAX_J_CUTOFF and not past and not fault
               and all(len(cert.gamma_digits[s]) >= h for s, h in enumerate(g))
-              for st, g, past in zip(stages, heights, past_data)]
+              for st, g, past, fault in zip(stages, heights, past_data, faults)]
     # b . M[i, width] = 0 iff b . M[i, min(width, rec)] = 0 (recurrence_bound);
     # each coordinate's tail as bytes, long enough for every shaped stage
     rec = recurrence_bound(vec)
@@ -383,9 +393,11 @@ def verify_certificate(cert: Certificate) -> CertificateReport:
     tails = [src.frac_bytes(max((g[s] - 1 + c for c, g, ok
                                  in zip(built, heights, shaped) if ok and g[s]), default=0))
              for s, src in enumerate(vec)]
+    mults: list[dict] = [{} for _ in tails]     # c * tails[s] in digit lanes, for every stage
     prev_i = prev_j = prev_width = 0
     g_prev = w.eval(0)
-    for st, cols, g_now, shape_ok, past in zip(stages, built, heights, shaped, past_data):
+    for st, cols, g_now, shape_ok, past, fault in zip(stages, built, heights, shaped,
+                                                      past_data, faults):
         tag = f"stage{st.m}"
         add(f"{tag}_b_nonzero", any(st.b), "")
         add(f"{tag}_i_step", st.i >= prev_i + cert.ell,
@@ -401,13 +413,13 @@ def verify_certificate(cert: Certificate) -> CertificateReport:
         add(f"{tag}_row_shape", shape_ok,
             f"{len(st.b)} annihilator entries for row extent {st.i}"
             + (f", width {st.width} past {MAX_J_CUTOFF}" if st.width > MAX_J_CUTOFF else "")
-            + (f", width {st.width} past theta's data" if past else ""))
+            + (f", width {st.width} past theta's data" if past else "") + fault)
         if shape_ok and g_prev is not None:
             # the remaining checks index by the claimed extent
             if st.j_next is not None:
                 add(f"{tag}_width_matches_j", st.width == st.j_next - 1,
                     f"width {st.width}, j_next {st.j_next}")
-            annihilates = _annihilates(field, w, tails, st.b, cols)
+            annihilates = _annihilates(field, w, tails, st.b, cols, mults)
             add(f"{tag}_annihilates", annihilates, f"width {st.width}")
             fixed, b_new = _split(field, st.b, g_prev, g_now, cert.gamma_digits)
             d_new = [c for s, h in enumerate(g_now) for c in cert.gamma_digits[s][g_prev[s]:h]]
@@ -438,16 +450,66 @@ def verify_certificate(cert: Certificate) -> CertificateReport:
     return CertificateReport(ok, checks, -(1 + cert.ell) if ok else None)
 
 
+def _non_code(field: Field, b, digits) -> str:
+    """The row_shape detail that names the first non-code in b or in the
+    digit sequences, or the empty string when all are element codes."""
+    for what, codes in (("b entry", b), *(("gamma digit", ds) for ds in digits)):
+        try:
+            field.check_codes(codes)
+        except ElementCodeError as exc:
+            return f", {what} {exc}"
+    return ""
+
+
 def _annihilates(field: Field, w: GeneralizedWeight, tails: list[bytes],
-                 b: tuple[int, ...], width: int) -> bool:
-    """b . M[len(b), width] = 0, summed as packed rows: row r (0-based) of
-    block s is tails[s][r:r + width]."""
-    rows = [tails[s][r:r + width] for s, h in enumerate(w.eval(len(b))) for r in range(h)]
-    basis, acc = _Basis(field, width), 0
-    for row, c in zip(rows, b):
-        if c:
-            acc = basis.sub_multiple(acc, int.from_bytes(row, "little"), c)
-    return acc == 0
+                 b: Sequence[int], width: int, mults: list[dict] | None = None) -> bool:
+    """b . M[len(b), width] = 0, where row r (0-based) of block s is
+    tails[s][r:r + width], which each tail must hold.
+
+    For p <= 128 rows add as plain ints in digit lanes: each base-p digit
+    of an entry has its own byte, digit j of tail entry x at byte j*n + x
+    (n the longest tail).  c * tails[s] is built once per block and
+    multiplier c, by one translate per digit (linalg._lane_tables), and
+    kept in mults[s][c] for later calls on the same tails; row r times c is
+    a shift and a mask of it, and one integer add.  A byte holds the sum
+    of 255 // (p - 1) digits, so rows go in runs of one fewer, each run
+    starting by reducing the sum mod p with one translate (its residues
+    count as a row), and the total is reduced once more at the end.  Past
+    p = 128 a byte holds no residue plus a row, and rows take _Basis's
+    packed step."""
+    p, heights = field.p, w.eval(len(b))
+    if p > 128:
+        basis, acc, off = _Basis(field, width), 0, 0
+        for s, h in enumerate(heights):
+            for r, c in enumerate(b[off:off + h]):
+                if c:
+                    row = int.from_bytes(tails[s][r:r + width], "little")
+                    acc = basis.sub_multiple(acc, row, c)
+            off += h
+        return acc == 0
+    maps, mod_p = _lane_tables(field)
+    n, run = max(map(len, tails)), 255 // (p - 1) - 1
+    mask = int.from_bytes((b"\xff" * width).ljust(n, b"\0") * field.k, "little")
+    mults = [{} for _ in tails] if mults is None else mults
+    acc = off = 0
+    for s, h in enumerate(heights):
+        block, bs = mults[s], b[off:off + h]
+        if len(block) < field.q - 1:        # some multiplier is not built yet
+            tail = tails[s].ljust(n, b"\0")
+            for c in set(bs).difference(block, (0,)):
+                block[c] = int.from_bytes(b"".join([tail.translate(t) for t in maps[c]]),
+                                          "little")
+        for lo in range(0, h, run):
+            acc = _mod_p(acc, field.k * n, mod_p) if acc else 0
+            for r, c in enumerate(bs[lo:lo + run], lo):
+                if c:
+                    acc += block[c] >> 8 * r & mask
+        off += h
+    return _mod_p(acc, field.k * n, mod_p) == 0
+
+
+def _mod_p(acc: int, size: int, mod_p: bytes) -> int:
+    return int.from_bytes(acc.to_bytes(size, "little").translate(mod_p), "little")
 
 
 # ---------------------------------------------------------------------------

@@ -393,6 +393,21 @@ def left_annihilators(f, rows):
     return out
 
 
+def annihilates_entrywise(f, tails, heights, b, width):
+    """Whether b . M = 0 for the stacked matrix whose block s has heights[s]
+    rows, row r holding tails[s][r:r + width] (zero past the tail), b in
+    stacked order: every column summed entry by entry."""
+    rows = [[tail[r + c] if r + c < len(tail) else 0 for c in range(width)]
+            for tail, h in zip(tails, heights) for r in range(h)]
+    for c in range(width):
+        acc = 0
+        for coef, row in zip(b, rows):
+            acc = f.add(acc, f.mul(coef, row[c]))
+        if acc:
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Approximation constants by raw enumeration
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -116,6 +117,18 @@ def test_check_refuses_a_bool():
     for bad in (True, False, 1.0, 2, -1):
         with pytest.raises(ElementCodeError):
             f.check(bad)
+
+
+def test_check_codes_names_the_first_non_code():
+    """check_codes returns the codes as bytes, or raises ElementCodeError
+    naming the first non-code: a bool, a float, None, or an int outside
+    range(q)."""
+    f = Field(3)
+    assert f.check_codes([0, 2, 1]) == b"\0\2\1" and f.check_codes(()) == b""
+    for codes, first in [([0, True, 5], True), ([1, 1.0], 1.0), ([2, None], None),
+                         ([3, 1.5], 3), ([0, -1], -1), ([1, 256], 256), ([False], False)]:
+        with pytest.raises(ElementCodeError, match=f"^{re.escape(repr(first))} is not"):
+            f.check_codes(codes)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])

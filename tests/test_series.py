@@ -151,6 +151,16 @@ def test_rational_digits_do_not_depend_on_what_was_read_before(case, data):
         assert src.digits(start, stop) == want[start - 1:stop]
 
 
+def test_rational_digits_of_a_negative_stop_are_empty():
+    """digits(1, -3) is empty whatever was read before, as for a periodic
+    source; the cache of 8 digits must not be sliced from its end."""
+    f = Field.of_order(2)
+    src = parse_series("frac=rational:[1]/[1,1,0,1]", f).frac
+    assert src.digits(1, -3) == []
+    assert src.digits(1, 8) == [0, 0, 1, 0, 1, 1, 1, 0]
+    assert src.digits(1, -3) == [] and src.digits(2, 0) == []
+
+
 @settings(max_examples=200, deadline=None)
 @given(_rationals(), st.data())
 def test_recurrence_bound_is_the_oracle_order_and_below_period_bound(case, data):
@@ -375,6 +385,19 @@ def test_every_tail_read_checks_a_rules_codes():
     assert wrong == {}
 
 
+@pytest.mark.parametrize("value", [True, 1.0, None])
+def test_a_rules_non_int_code_is_refused(value):
+    """A rule's code must be an int: a bool (equal to 1 or not), a float or
+    None raises ElementCodeError from frac_coeffs, never reads as a code
+    and never escapes as a bare TypeError."""
+    f = Field.of_order(2)
+    register_rule(f"gives-{value!r}", lambda i: value if i == 2 else 0)
+    bad = LaurentSeries(f, Poly.zero(f), rule_source(f"gives-{value!r}"))
+    assert bad.frac_coeffs(1) == [0]
+    with pytest.raises(ElementCodeError, match=f"^{value!r} is not"):
+        bad.frac_coeffs(3)
+
+
 def test_rule_source_liminf_positions():
     f = Field.of_order(2)
     s = LaurentSeries(f, Poly.zero(f), rule_source("liminf"))
@@ -530,3 +553,29 @@ def test_series_from_json_rejects_wrong_q():
     obj["q"] = 3
     with pytest.raises(ValueError):
         series_from_json(obj, f)
+
+
+_FRAC = {"kind": "finite", "coeffs": [1]}
+
+
+@pytest.mark.parametrize("obj", [
+    {"q": 2.5, "frac": _FRAC},
+    {"q": "2", "frac": _FRAC},
+    {"q": 2, "frac": _FRAC, "extra": 1},
+    {"frac": _FRAC},
+    {"q": 2},
+    {"q": 2, "frac": {"kind": "finite"}},
+    {"q": 2, "frac": {"kind": "finite", "coeffs": 5}},
+    {"q": 2, "frac": {"kind": "periodic", "pre": []}},
+    {"q": 2, "frac": {"kind": "rational", "num": [1]}},
+    {"q": 2, "frac": {"kind": "rule"}},
+    {"q": 2, "poly": 5, "frac": _FRAC},
+], ids=["float q", "string q", "unknown key", "no q", "no frac", "no coeffs",
+        "int coeffs", "no per", "no den", "no name", "int poly"])
+def test_series_json_that_would_be_misread_is_refused(obj):
+    """series_from_json reads a document as written or raises ValueError:
+    a q that is not an int, a key it does not know, a missing member and
+    a member that is not a code list are neither read as something else
+    nor raised as KeyError or TypeError."""
+    with pytest.raises(ValueError):
+        series_from_json(obj)

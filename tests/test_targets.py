@@ -21,9 +21,10 @@ from ffba.errors import BudgetExhaustedError, CertificateFormatError
 from ffba.hankel import HankelView
 from ffba.indices import StageStatus
 from ffba.linalg import nullspace
-from ffba.targets import Certificate, _lexmin_of_line
+from ffba.targets import Certificate, _annihilates, _lexmin_of_line
 
-from oracles import (OracleField, count_hyperplane, dense_solvable, left_kernel_basis,
+from oracles import (OracleField, annihilates_entrywise, count_hyperplane, dense_solvable,
+                     left_kernel_basis,
                      left_null_lexmin_rref, rational_expansion, rational_recurrence_order,
                      survivor_family)
 
@@ -683,6 +684,104 @@ def test_tampered_rational_last_stage_fails_annihilates(q, num, den):
         assert checks[f"stage{last.m}_annihilates"] == want
         verdicts.add(want)
     assert verdicts == {False, True}
+
+
+# digit lanes hold 255 // (p - 1) rows between reductions; 127 holds 2 and
+# 251 takes the packed row step
+_LANE_FIELDS = [2, 3, 4, 5, 8, 9, 16, 17, 127, 251]
+
+
+@st.composite
+def _lane_case(draw):
+    """Tails, a weight with d <= 3, a width and b for _annihilates: b a
+    random point of the oracle left kernel, such a point with one entry
+    changed, or random.  Stages run past one lane run of rows."""
+    q = draw(st.sampled_from(_LANE_FIELDS))
+    f = Field.of_order(q)
+    of = OracleField(f.p, f.k, list(f.modulus) if f.modulus else None)
+    d = draw(st.integers(1, 3))
+    w = GeneralizedWeight.from_assignment(
+        d, draw(st.lists(st.integers(1, d), min_size=d, max_size=2 * d, unique=d == 1)))
+    run = 255 // (f.p - 1)
+    i = draw(st.one_of(st.integers(1, 12), st.integers(max(run - 2, 1), min(run + 8, 300))))
+    width = draw(st.integers(0, 6))
+    rng = random.Random(draw(st.integers(0, 1 << 30)))
+    heights = w.eval(i)
+    tails = [bytes(rng.randrange(q) if rng.random() < 0.8 else 0
+                   for _ in range(max(h - 1 + width, 0) + rng.randrange(3))) for h in heights]
+    b = [rng.randrange(q) for _ in range(i)]
+    kind = draw(st.sampled_from(["kernel", "near miss", "random"]))
+    rows = [[t[r + c] if r + c < len(t) else 0 for c in range(width)]
+            for t, h in zip(tails, heights) for r in range(h)]
+    kernel = left_kernel_basis(of, rows, i) if kind != "random" else []
+    if kernel:
+        b = [0] * i
+        for v in rng.sample(kernel, min(3, len(kernel))):
+            c = rng.randrange(1, q)
+            b = [of.add(x, of.mul(c, y)) for x, y in zip(b, v)]
+        if kind == "near miss":
+            k = rng.randrange(i)
+            b[k] = of.add(b[k], rng.randrange(1, q))
+    event(f"{kind if kernel or kind == 'random' else 'random (no kernel)'}, "
+          f"{'past' if i > run else 'within'} one lane run")
+    return f, of, w, tails, heights, b, width
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lane_case())
+def test_lane_annihilation_matches_entrywise_oracle(case):
+    """_annihilates, in digit lanes for p <= 128 and by packed row steps
+    past it, agrees with column sums taken entry by entry."""
+    f, of, w, tails, heights, b, width = case
+    assert _annihilates(f, w, tails, bytes(b), width) == \
+        annihilates_entrywise(of, tails, heights, b, width)
+
+
+def test_lane_sums_reduce_before_a_byte_overflows():
+    """Over F_3 a lane byte holds 127 rows of digit 2.  255 rows of 2 * 1
+    sum to 510 = 0 mod 3 in every lane, and that holds only if the
+    residues left by a reduction count as a row: with 127 more rows on top
+    of them a byte would reach 256."""
+    f = Field.of_order(3)
+    w = GeneralizedWeight.one_dim()
+    tails = [b"\1" * 260]
+    assert _annihilates(f, w, tails, b"\2" * 255, 5)
+    assert not _annihilates(f, w, tails, b"\2" * 254 + b"\1", 5)
+
+
+@pytest.mark.parametrize("k", [0, 1, 126, 127, 128, 129])
+def test_a_one_entry_flip_past_a_lane_run_fails_annihilates(k):
+    """A certificate over F_3 whose stage has 130 rows, more than a lane
+    byte sums (127): changing any one entry of b fails the stage's
+    annihilates check, wherever it sits in the run of rows."""
+    f = Field.of_order(3)
+    rng = random.Random(5)
+    cert = gamma_prefix(_series(f, [rng.randrange(3) for _ in range(300)]), ell=130,
+                        stage_budget=2)
+    (stage,) = cert.stages
+    assert stage.i == 130 and verify_certificate(cert).ok
+    b = list(stage.b)
+    b[k] = (b[k] + 1) % 3
+    rep = verify_certificate(_tamper_stage(cert, 0, b=tuple(b)))
+    assert ("stage0_annihilates", False, "width 129") in rep.checks
+
+
+@pytest.mark.parametrize("q, where, bad", [(2, "b", 5), (2, "b", 1.0), (2, "b", True),
+                                           (9, "b", 12), (9, "gamma", 12)])
+def test_a_non_code_fails_the_row_shape(q, where, bad):
+    """A certificate built in code with a non-code in a stage's b, or in
+    the digits of gamma that the stage reads, fails that stage's row_shape
+    check with a detail that names the entry; no exception escapes, and a
+    bool is no code even where it equals one."""
+    _, cert = _worked(q)
+    if where == "b":
+        cert = _tamper_stage(cert, 1, b=(0, 0, bad))
+    else:
+        cert = dataclasses.replace(cert, gamma_digits=((bad, 0, 1),))
+    rep = verify_certificate(cert)
+    failed = {name: detail for name, ok, detail in rep.failed()}
+    assert not rep.ok and f"{bad!r} is not an element code of F_{q}" in failed["stage1_row_shape"]
+    assert ("stage0_row_shape" in failed) == (where == "gamma")
 
 
 def test_rational_walk_construction_and_check_fetch_few_digits():
